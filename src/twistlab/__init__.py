@@ -48,10 +48,12 @@ from .fourier import (
     TorusPoint,
     act,
     decay_constant,
+    decay_constants,
     evaluate,
     grid_mean,
     inner,
     torus_action,
+    twist,
 )
 from .cohomology import (
     Cocycle,

@@ -22,9 +22,9 @@ from .cohomology import (
     smoothness_report,
     solve_coboundary,
 )
-from .fourier import decay_constant
+from .fourier import decay_constants
 from .lattice import basis_curve_class, choose_increasing_twist, norm1, transvect
-from .words import MetadataError, builtin_catalog, verify_relation, word_matrix
+from .words import MetadataError, builtin_catalog, check_metadata, word_matrix
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -32,8 +32,6 @@ PASS, FAIL, BAD_INPUT = 0, 1, 2
 @dataclass
 class RunConfig:
     genus: int = 3
-    seed: int = 0
-    tolerance: float = 1e-9
     infile: str = None
     outfile: str = None
     fmt: str = None
@@ -84,7 +82,8 @@ def cmd_verify_relations(cfg, dump=False):
             (abs(a - b) for ra, rb in zip(lhs.rows, rhs.rows) for a, b in zip(ra, rb)),
             default=0,
         )
-        ok = verify_relation(rel)
+        check_metadata(rel)
+        ok = lhs == rhs
         if not ok:
             failed.append(rel.name)
         instances.append(
@@ -92,7 +91,6 @@ def cmd_verify_relations(cfg, dump=False):
         )
     report = {
         "genus": cfg.genus,
-        "seed": cfg.seed,
         "all_passed": not failed,
         "failed": failed,
         "instances": instances,
@@ -193,9 +191,10 @@ def cmd_decay_report(cfg, kmax):
         v = serialize.sparse_from_json(json.loads(text))
     else:
         v = serialize.parse_sparse_lines(text)
+    orders = range(0, kmax + 1)
     rows = [
-        {"k": k, "F": serialize.sqrt_to_json(decay_constant(v, k))}
-        for k in range(0, kmax + 1)
+        {"k": k, "F": serialize.sqrt_to_json(fk)}
+        for k, fk in zip(orders, decay_constants((v,), orders))
     ]
     if cfg.fmt == "csv":
         buf = io.StringIO()
@@ -218,8 +217,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--genus", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--in", dest="infile", default=None)
         p.add_argument("--out", dest="outfile", default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
@@ -253,8 +250,6 @@ def main(argv=None):
     try:
         cfg = RunConfig(
             genus=args.genus,
-            seed=args.seed,
-            tolerance=args.tolerance,
             infile=args.infile,
             outfile=args.outfile,
             fmt=args.fmt,

@@ -15,18 +15,16 @@ twist and its inverse.  The sums are finite because the values are
 finitely supported and the ray norms strictly increase.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import ExactSqrt, GaussianRational
-from .fourier import SparseVector, act, decay_constant, inner
+from .fourier import SparseVector, decay_constants, inner, twist
 from .lattice import (
     HomologyClass,
-    SymplecticMatrix,
     basis_curve_class,
-    _choose_increasing,
+    choose_increasing_twist,
     intersection,
     norm1,
-    twist_matrix,
     zero_class,
 )
 from .words import Curve, TwistWord, builtin_catalog, basis_curves
@@ -131,7 +129,7 @@ def coboundary(v, gens):
         raise ValueError("genus mismatch")
     if v.coefficient(zero_class(v.genus)):
         raise ValueError("primitive must be mean-zero")
-    values = {c.id: v - act(twist_matrix(c.cls), v) for c in gens}
+    values = {c.id: v - twist(c.cls, 1, v) for c in gens}
     return Cocycle(gens, values)
 
 
@@ -139,22 +137,20 @@ def expansion_terms(u, word):
     """Per-letter terms of the word extension; their sum is extend(u, word).
 
     The term for a letter at prefix p is p u(letter), with inverse letters
-    expanded through u(t^-1) = -t^-1 u(t).
+    expanded through u(t^-1) = -t^-1 u(t).  The prefix is kept as its
+    (class, sign) steps and applied innermost step first.
     """
-    dim = 2 * u.genus
-    prefix = SymplecticMatrix.identity(dim)
+    prefix = []
     terms = []
     for cid, s in word.singles():
         curve = u.gens.get(cid)
         if curve is None:
             raise ValueError("unknown generator id %r" % cid)
-        step = twist_matrix(curve.cls, s)
-        if s > 0:
-            val = u.value(cid)
-        else:
-            val = -act(step, u.value(cid))
-        terms.append(act(prefix, val))
-        prefix = prefix * step
+        val = u.value(cid) if s > 0 else -twist(curve.cls, -1, u.value(cid))
+        for cls, t in reversed(prefix):
+            val = twist(cls, t, val)
+        terms.append(val)
+        prefix.append((curve.cls, s))
     return terms
 
 
@@ -250,7 +246,7 @@ def _basis_twist_values(u):
         if gen is None:
             raise ValueError("generators must include all 2g basis curves")
         vp = u.value(gen.id)
-        vm = -act(twist_matrix(cls, -1), vp)
+        vm = -twist(cls, -1, vp)
         out.append((cls, vp, vm))
     return out
 
@@ -260,7 +256,6 @@ class SolveReport:
     f: SparseVector
     residual: ExactSqrt
     decay: tuple  # triples (k, F_k of f, G_{k+1} of the input values)
-    cocycle: Cocycle = field(repr=False, compare=False, default=None)
 
 
 @dataclass
@@ -343,7 +338,7 @@ def solve_coboundary(u, relations=None):
     f_raw = {}
     zero = GaussianRational(0)
     for coords in candidates:
-        idx, eps = _choose_increasing(coords)
+        idx, eps = choose_increasing_twist(HomologyClass(coords))
         step = eps * _basis_step(idx, coords)
         raw = plus_raw[idx] if eps > 0 else minus_raw[idx]
         rest = sum(abs(a) for a in coords) - abs(coords[idx])
@@ -366,46 +361,37 @@ def solve_coboundary(u, relations=None):
     for curve in u.gens:
         vp = u.value(curve.id)
         for sign in (1, -1):
-            M = twist_matrix(curve.cls, sign)
-            want = vp if sign > 0 else -act(M, vp)
-            diff = (f - act(M, f)) - want
+            want = vp if sign > 0 else -twist(curve.cls, -1, vp)
+            diff = (f - twist(curve.cls, sign, f)) - want
             residual_sq = max(residual_sq, diff.norm_sq())
 
-    decay = []
-    for k in range(2, 6):
-        fk = decay_constant(f, k)
-        gk = ExactSqrt(0)
-        for _, vp, vm in tables:
-            for v in (vp, vm):
-                cand = decay_constant(v, k + 1)
-                if cand > gk:
-                    gk = cand
-        decay.append((k, fk, gk))
-
-    return SolveReport(
-        f=f, residual=ExactSqrt(residual_sq), decay=tuple(decay), cocycle=u
+    orders = range(2, 6)
+    values = [v for _, vp, vm in tables for v in (vp, vm)]
+    decay = zip(
+        orders,
+        decay_constants((f,), orders),
+        decay_constants(values, [k + 1 for k in orders]),
     )
+    return SolveReport(f=f, residual=ExactSqrt(residual_sq), decay=tuple(decay))
 
 
 def smoothness_report(report, kmax=5):
     """Check |f_m| <= G_{k+1} / (k norm1(m)^k) on the reconstructed support.
 
-    G_{k+1} is the largest decay constant of the 4g basis twist values at
-    order k+1.  All comparisons are exact (done on squares).
+    G_{k+1}, the largest decay constant of the 4g basis twist values at
+    order k+1, is read from the report's decay table; a k in 2..kmax that
+    the table lacks raises ValueError.  Witnesses come in support order.
+    All comparisons are exact (done on squares).
     """
     if report.residual:
         raise ValueError("smoothness check needs an exact reconstruction")
-    if report.cocycle is None:
-        raise ValueError("report does not carry its cocycle")
-    gen_points = []
-    for _, vp, vm in _basis_twist_values(report.cocycle):
-        for v in (vp, vm):
-            for m, val in v.items():
-                gen_points.append((norm1(m), val.abs2()))
-    f_points = [(m, norm1(m), val.abs2()) for m, val in report.f.items()]
+    g_table = {k: gk for k, _, gk in report.decay}
+    f_points = [(m, norm1(m), report.f.coefficient(m).abs2()) for m in report.f.support]
     out = []
     for k in range(2, kmax + 1):
-        g_sq = max((n ** (2 * (k + 1)) * a2 for n, a2 in gen_points), default=0)
+        if k not in g_table:
+            raise ValueError("the report's decay table has no G_%d" % (k + 1))
+        g_sq = g_table[k].square
         witnesses = []
         for m, n, a2 in f_points:
             lhs_sq = k * k * n ** (2 * k) * a2

@@ -9,7 +9,7 @@ numbers; evaluation at torus points is the only floating-point path.
 import cmath
 
 from .exact import ExactSqrt, GaussianRational
-from .lattice import HomologyClass, norm1
+from .lattice import HomologyClass, norm1, transvect
 
 
 class AliasingError(ValueError):
@@ -138,6 +138,15 @@ def act(M, v):
     return out
 
 
+def twist(c, n, v):
+    "The n-fold twist about the class c: relabel the support by transvection."
+    if len(c.coords) != 2 * v.genus:
+        raise ValueError("dimension mismatch")
+    out = SparseVector.zero(v.genus, full=v.full)
+    out.coeffs = {transvect(c, n, m): val for m, val in v.coeffs.items()}
+    return out
+
+
 def inner(v, w):
     "Hermitian inner product, linear in the first slot."
     if v.genus != w.genus:
@@ -233,13 +242,29 @@ def grid_mean(v, N):
     return complex(total)
 
 
+def decay_constants(vectors, orders):
+    """Per order k, the smallest F with norm1(m)^k |coeff| <= F over the
+    supports of all the vectors (0 if they are all empty).
+
+    Each point's (norm1, |coeff|^2) is computed once; only the largest
+    |coeff|^2 per norm can attain a maximum, so every order is a maximum
+    over the distinct norms.
+    """
+    orders = tuple(orders)
+    if any(k < 0 for k in orders):
+        raise ValueError("k must be nonnegative")
+    peak = {}
+    for v in vectors:
+        for m, val in v.items():
+            n, a2 = norm1(m), val.abs2()
+            if a2 > peak.get(n, 0):
+                peak[n] = a2
+    return [
+        ExactSqrt(max((n ** (2 * k) * a2 for n, a2 in peak.items()), default=0))
+        for k in orders
+    ]
+
+
 def decay_constant(v, k):
     "Smallest F with norm1(m)^k |coeff| <= F over the support (0 if empty)."
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    best = 0
-    for m, val in v.items():
-        cand = norm1(m) ** (2 * k) * val.abs2()
-        if cand > best:
-            best = cand
-    return ExactSqrt(best)
+    return decay_constants((v,), (k,))[0]

@@ -242,11 +242,14 @@ def standard_form(g):
 
 def twist_matrix(c, n=1):
     "Matrix of the n-fold twist about c:  I + n c (c^T J)."
-    dim = len(c.coords)
-    J = _standard_form_rows(dim)
-    w = tuple(sum(c.coords[p] * J[p][q] for p in range(dim)) for q in range(dim))
+    coords = c.coords
+    dim = len(coords)
+    # the row c^T J: (-b1, a1, ..., -bg, ag)
+    w = [0] * dim
+    w[0::2] = [-b for b in coords[1::2]]
+    w[1::2] = coords[0::2]
     rows = tuple(
-        tuple((1 if i == j else 0) + n * c.coords[i] * w[j] for j in range(dim))
+        tuple((1 if i == j else 0) + n * coords[i] * w[j] for j in range(dim))
         for i in range(dim)
     )
     return SymplecticMatrix(rows)
@@ -263,7 +266,14 @@ def apply(M, m):
     return M.apply(m)
 
 
-def _choose_increasing(coords):
+def choose_increasing_twist(m):
+    """Pick (basis curve index, sign) whose twist ray strictly grows the norm.
+
+    Scans for the first nonzero coordinate, twists about the dual basis
+    curve, and orients the twist so |transvect(c, eps*n, m)| is strictly
+    increasing for n = 0, 1, 2, ...  Prefers eps = +1 when both signs work.
+    """
+    coords = m.coords
     for k, a in enumerate(coords):
         if a:
             if k % 2 == 0:
@@ -274,16 +284,6 @@ def _choose_increasing(coords):
                 eps = 1
             return k ^ 1, eps
     raise ValueError("the zero class has no increasing twist ray")
-
-
-def choose_increasing_twist(m):
-    """Pick (basis curve index, sign) whose twist ray strictly grows the norm.
-
-    Scans for the first nonzero coordinate, twists about the dual basis
-    curve, and orients the twist so |transvect(c, eps*n, m)| is strictly
-    increasing for n = 0, 1, 2, ...  Prefers eps = +1 when both signs work.
-    """
-    return _choose_increasing(m.coords)
 
 
 def basis_curve_class(g, index):

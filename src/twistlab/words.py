@@ -95,10 +95,9 @@ class RelationInstance:
 
 
 def _as_table(curves):
+    "A curve table by id, from a dict or an iterable of curves."
     if isinstance(curves, dict):
         return curves
-    if hasattr(curves, "curves") and isinstance(curves.curves, dict):
-        return curves.curves
     return {c.id: c for c in curves}
 
 
@@ -171,11 +170,12 @@ def transvection_class(M):
     if next(a for a in prim if a) < 0:
         prim = [-a for a in prim]
     # B = (s*prim)(s*prim)^T J for some positive integer s; read s^2 off
-    # a nonzero entry of B against the corresponding entry for prim.
-    w = _pairing_row(prim)
+    # a nonzero entry of B against the corresponding entry of
+    # twist_matrix(prim) - I = prim prim^T J.
+    ref_rows = twist_matrix(HomologyClass(prim)).rows
     for i in range(dim):
         for j in range(dim):
-            ref = prim[i] * w[j]
+            ref = ref_rows[i][j] - (1 if i == j else 0)
             if ref:
                 if B[i][j] % ref:
                     return None
@@ -185,24 +185,9 @@ def transvection_class(M):
                 s = isqrt(s2)
                 if s * s != s2:
                     return None
-                cand = [s * a for a in prim]
-                wc = _pairing_row(cand)
-                for p in range(dim):
-                    for q in range(dim):
-                        if B[p][q] != cand[p] * wc[q]:
-                            return None
-                return HomologyClass(cand)
+                cand = HomologyClass([s * a for a in prim])
+                return cand if twist_matrix(cand) == M else None
     return None
-
-
-def _pairing_row(coords):
-    "Row vector c^T J for interleaved coordinates."
-    dim = len(coords)
-    w = [0] * dim
-    for k in range(0, dim, 2):
-        w[k] = -coords[k + 1]
-        w[k + 1] = coords[k]
-    return w
 
 
 def find_twist_pair(M, max_norm):

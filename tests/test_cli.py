@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from twistlab import (
     Cocycle,
     GaussianRational,
@@ -40,6 +42,7 @@ def test_verify_relations_default_catalog(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify-relations", "--genus", "3", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
+    assert sorted(report) == ["all_passed", "failed", "genus", "instances"]
     assert report["all_passed"] and not report["failed"]
     assert len(report["instances"]) == len(builtin_catalog(G))
     assert all(i["matrix_residual"] == 0 for i in report["instances"])
@@ -47,6 +50,16 @@ def test_verify_relations_default_catalog(tmp_path, capsys):
 
 def test_verify_relations_genus_guard(capsys):
     assert run(["verify-relations", "--genus", "2"]) == 2
+
+
+def test_removed_options_are_usage_errors(capsys):
+    for argv in (
+        ["verify-relations", "--tolerance", "-5"],
+        ["verify-relations", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
 
 def test_verify_relations_dump_roundtrip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,9 +7,11 @@ import pytest
 from twistlab import (
     Cocycle,
     Curve,
+    ExactSqrt,
     GaussianRational,
     GeneratorSet,
     NonCocycleError,
+    SolveReport,
     SparseVector,
     TwistWord,
     act,
@@ -20,6 +23,7 @@ from twistlab import (
     inner,
     matches_generators,
     max_relation_residual,
+    norm1,
     project_fixed,
     relation_residual,
     s_vector,
@@ -31,6 +35,7 @@ from twistlab import (
     y_basis,
     zero_class,
 )
+from twistlab import serialize as ser
 
 from helpers import rand_basis_word, rand_class, rand_sparse
 
@@ -470,3 +475,53 @@ def test_smoothness_random_round_trips():
         f = rand_sparse(rng, G, rng.randint(1, 40))
         rep = solve_coboundary(coboundary(f, gens))
         assert all(c.passed for c in smoothness_report(rep, kmax=5))
+
+
+def test_decay_table_holds_basis_twist_value_constants():
+    # G_{k+1} in the report is the largest norm1^(k+1) |coeff| over the
+    # values of the basis twists and their inverses, here read through
+    # the dense twist matrices
+    gens = basis_gens()
+    rng = random.Random(425)
+    f = rand_sparse(rng, G, 20)
+    u = coboundary(f, gens)
+    rep = solve_coboundary(u)
+    values = []
+    for curve in gens:
+        vp = u.value(curve.id)
+        values += [vp, -act(twist_matrix(curve.cls, -1), vp)]
+    for k, fk, gk in rep.decay:
+        want = max(norm1(m) ** (2 * (k + 1)) * val.abs2() for v in values for m, val in v.items())
+        assert gk.square == want
+        assert fk.square == max(norm1(m) ** (2 * k) * val.abs2() for m, val in f.items())
+
+
+def test_smoothness_report_rechecks_a_saved_report():
+    gens = basis_gens()
+    rng = random.Random(426)
+
+    def reload(rep):
+        return ser.report_from_json(json.loads(json.dumps(ser.report_to_json(rep))))
+
+    for _ in range(5):
+        f = rand_sparse(rng, G, rng.randint(1, 30))
+        rep = solve_coboundary(coboundary(f, gens))
+        assert smoothness_report(reload(rep)) == smoothness_report(rep)
+    # a table whose G are all zero fails at every support point, and the
+    # witnesses survive the round trip
+    zeroed = SolveReport(
+        f=rep.f,
+        residual=rep.residual,
+        decay=tuple((k, fk, ExactSqrt(0)) for k, fk, _ in rep.decay),
+    )
+    checks = smoothness_report(reload(zeroed))
+    assert checks == smoothness_report(zeroed)
+    assert all(len(c.witnesses) == len(rep.f) for c in checks)
+
+
+def test_smoothness_report_needs_each_k_in_the_table():
+    f = SparseVector.basis(x_basis(G, 1))
+    rep = solve_coboundary(coboundary(f, basis_gens()))
+    assert [k for k, _, _ in rep.decay] == [2, 3, 4, 5]
+    with pytest.raises(ValueError):
+        smoothness_report(rep, kmax=6)

@@ -1,16 +1,21 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(script):
+    # the demos import twistlab from this checkout's src/, installed or not
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

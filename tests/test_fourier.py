@@ -15,11 +15,13 @@ from twistlab import (
     TorusPoint,
     act,
     decay_constant,
+    decay_constants,
     evaluate,
     grid_mean,
     inner,
     norm1,
     torus_action,
+    twist,
     twist_matrix,
     word_matrix,
     x_basis,
@@ -31,7 +33,9 @@ from twistlab import (
 from helpers import (
     brute_grid_mean,
     oracle_evaluate,
+    oracle_transvection_rows,
     rand_basis_word,
+    rand_class,
     rand_sparse,
     rand_torus_point,
 )
@@ -74,6 +78,25 @@ def test_act_examples():
     assert act(I, v) == v
     moved = act(twist_matrix(x_basis(G, 1)), v)
     assert moved == SparseVector.basis(x_basis(G, 1) + y1)
+
+
+def test_twist_matches_matrix_action_and_oracle():
+    rng = random.Random(302)
+    for g in (3, 4):
+        for _ in range(60):
+            c = rand_class(rng, g, 3)
+            n = rng.choice((1, -1, 2, -2))
+            v = rand_sparse(rng, g, rng.randint(0, 10))
+            got = twist(c, n, v)
+            assert got == act(twist_matrix(c, n), v)
+            rows = oracle_transvection_rows(c, n)
+            moved = {
+                HomologyClass([sum(a * b for a, b in zip(row, m.coords)) for row in rows]): val
+                for m, val in v.items()
+            }
+            assert got == SparseVector(g, moved)
+    with pytest.raises(ValueError):
+        twist(x_basis(4, 1), 1, SparseVector.zero(G))
 
 
 def test_act_unitary_and_group_action():
@@ -212,6 +235,24 @@ def test_decay_constant_monotone_and_scaling():
         assert decay_constant(sub, k) <= decay_constant(v, k)
         c = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
         assert decay_constant(v * c, k) == decay_constant(v, k) * abs(c)
+
+
+def test_decay_constants_match_per_order():
+    rng = random.Random(310)
+    orders = range(0, 7)
+    for _ in range(40):
+        vectors = [rand_sparse(rng, G, rng.randint(0, 12)) for _ in range(rng.randint(0, 4))]
+        got = decay_constants(vectors, orders)
+        assert len(got) == len(orders)
+        for k, fk in zip(orders, got):
+            assert fk == max((decay_constant(v, k) for v in vectors), default=0)
+            brute = max(
+                (norm1(m) ** (2 * k) * val.abs2() for v in vectors for m, val in v.items()),
+                default=0,
+            )
+            assert fk.square == brute
+    with pytest.raises(ValueError):
+        decay_constants([SparseVector.zero(G)], [2, -1])
 
 
 def test_exact_sqrt_behaviour():
