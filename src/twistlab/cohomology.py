@@ -5,14 +5,17 @@ A cocycle u into the space of mean-zero Fourier vectors is stored by its
 values on a generating set of twists and extended along words by
 u(gh) = u(g) + g u(h).  The solver reconstructs, for a cocycle that is
 the coboundary of a finitely supported vector f, that vector exactly:
-for each candidate support point m it picks a twist ray along which the
-norm strictly increases and sums the generator coefficients down the ray,
+each support point m takes the twist ray along which the norm strictly
+increases (choose_increasing_twist), and f_m is the sum of the generator
+coefficients up that ray,
 
     f_m = - sum_{r >= 1} g^eps(t_j^{eps r} m),
 
 where g^+ / g^- are the coefficient tables of the values on the basis
-twist and its inverse.  The sums are finite because the values are
-finitely supported and the ray norms strictly increase.
+twist and its inverse.  A basis twist moves one coordinate, so each ray
+lies on a coordinate line, and the sums are per-line suffix sums of the
+finitely many table hits: the work grows with the supports of u and f,
+not with the size of their coordinates.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,6 @@ from .fourier import SparseVector, decay_constants, inner, twist
 from .lattice import (
     HomologyClass,
     basis_curve_class,
-    choose_increasing_twist,
     intersection,
     norm1,
     zero_class,
@@ -277,6 +279,62 @@ def _basis_step(idx, coords):
     return dual if idx % 2 == 0 else -dual
 
 
+def _telescope(plus_raw, minus_raw):
+    """f_m = -(sum of the hits strictly up the increasing ray of m).
+
+    The twist about basis curve idx moves only coordinate idx, by the fixed
+    dual coordinate per step, so every ray lies on one coordinate line.
+    The hits of each table are grouped by line (index, sign, the other
+    coordinates, coordinate mod step) and walked inward from the outermost
+    one, carrying the sum of the hits already passed; wherever that sum is
+    nonzero, every point of the line that chooses this ray gets -sum.
+
+    Along a line, s is the coordinate measured in the ray direction.  The
+    points choosing an odd (y-type) index form the half-line s >= 0
+    (sign +1) or s >= 1 (sign -1), where the b-coordinate crosses 0; an
+    even (x-type) index is chosen, with sign +1, only at s = 0.  Every
+    emitted point lies strictly below a hit, so inside the ball of the
+    generator supports.
+    """
+    lines = {}
+    for idx, (plus, minus) in enumerate(zip(plus_raw, minus_raw)):
+        handle = idx & ~1  # index of the handle's a-coordinate
+        for eps, raw in ((1, plus), (-1, minus)):
+            if eps < 0 and idx == handle:
+                continue  # no point chooses an x-type ray with sign -1
+            for coords, val in raw.items():
+                step = eps * _basis_step(idx, coords)
+                # a nonzero coordinate before the handle picks another ray
+                if not step or any(coords[:handle]):
+                    continue
+                before, after = coords[:idx], coords[idx + 1 :]
+                key = (idx, eps, step, before, after, coords[idx] % abs(step))
+                s = coords[idx] if step > 0 else -coords[idx]
+                lines.setdefault(key, []).append((s, val))
+
+    f_raw = {}
+    for (idx, eps, step, before, after, _), hits in lines.items():
+        width = abs(step)
+        lo = 1 if eps < 0 else 0
+        hi = 0 if idx % 2 == 0 else None
+        hits.sort(key=lambda hit: hit[0], reverse=True)
+        total = GaussianRational(0)
+        for i, (s, val) in enumerate(hits):
+            top = s - width
+            if top < lo:
+                break
+            total = total + val
+            if not total:
+                continue
+            if hi is not None:
+                top = min(top, hi - (hi - s) % width)
+            bottom = max(hits[i + 1][0], lo) if i + 1 < len(hits) else lo
+            value = -total
+            for p in range(top, bottom - 1, -width):
+                f_raw[before + ((p if step > 0 else -p),) + after] = value
+    return f_raw
+
+
 def solve_coboundary(u, relations=None):
     """Reconstruct a finitely supported primitive of the cocycle u.
 
@@ -299,71 +357,19 @@ def solve_coboundary(u, relations=None):
             )
 
     tables = _basis_twist_values(u)
-    plus_raw = [_raw_table(vp) for _, vp, _ in tables]
-    minus_raw = [_raw_table(vm) for _, _, vm in tables]
-
-    n_max = 0
-    for raw in plus_raw + minus_raw:
-        for coords in raw:
-            n_max = max(n_max, sum(abs(a) for a in coords))
-
-    # Candidate support: every point of the generator-value supports is
-    # pulled back along its own twist ray while the pullback can still
-    # re-enter the open ball of radius n_max; any primitive's support is
-    # contained in this set because its value at m is a sum of generator
-    # coefficients strictly up the ray from m.
-    candidates = set()
-    for idx in range(2 * g):
-        for raw in (plus_raw[idx], minus_raw[idx]):
-            for coords in raw:
-                nrm = sum(abs(a) for a in coords)
-                if 0 < nrm < n_max:
-                    candidates.add(coords)
-        for coords in plus_raw[idx]:
-            step = _basis_step(idx, coords)
-            if step == 0:
-                continue
-            rest = sum(abs(a) for a in coords) - abs(coords[idx])
-            prev = rest + abs(coords[idx])
-            val = coords[idx]
-            while True:
-                val -= step
-                nrm = rest + abs(val)
-                if 0 < nrm < n_max:
-                    candidates.add(coords[:idx] + (val,) + coords[idx + 1 :])
-                if nrm >= n_max and nrm >= prev:
-                    break
-                prev = nrm
-
-    f_raw = {}
-    zero = GaussianRational(0)
-    for coords in candidates:
-        idx, eps = choose_increasing_twist(HomologyClass(coords))
-        step = eps * _basis_step(idx, coords)
-        raw = plus_raw[idx] if eps > 0 else minus_raw[idx]
-        rest = sum(abs(a) for a in coords) - abs(coords[idx])
-        total = zero
-        val = coords[idx]
-        while True:
-            val += step
-            if rest + abs(val) > n_max:
-                break
-            hit = raw.get(coords[:idx] + (val,) + coords[idx + 1 :])
-            if hit is not None:
-                total = total + hit
-        if total:
-            f_raw[coords] = -total
-
+    f_raw = _telescope(
+        [_raw_table(vp) for _, vp, _ in tables],
+        [_raw_table(vm) for _, _, vm in tables],
+    )
     f = SparseVector.zero(g)
     f.coeffs = {HomologyClass(coords): val for coords, val in f_raw.items()}
 
     residual_sq = 0
     for curve in u.gens:
-        vp = u.value(curve.id)
-        for sign in (1, -1):
-            want = vp if sign > 0 else -twist(curve.cls, -1, vp)
-            diff = (f - twist(curve.cls, sign, f)) - want
-            residual_sq = max(residual_sq, diff.norm_sq())
+        # the t^-1 side f - t^-1 f + t^-1 u(c) is -t^-1 (f - t f - u(c)), a
+        # relabelling of this one, so it has the same norm
+        diff = (f - twist(curve.cls, 1, f)) - u.value(curve.id)
+        residual_sq = max(residual_sq, diff.norm_sq())
 
     orders = range(2, 6)
     values = [v for _, vp, vm in tables for v in (vp, vm)]

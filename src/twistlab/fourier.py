@@ -80,15 +80,21 @@ class SparseVector:
         return NotImplemented
 
     def _merge(self, other, sign):
+        # keys only the right side has are copied (negated when subtracting);
+        # exact arithmetic runs only where the supports collide
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
         table = dict(self.coeffs)
         for m, val in other.coeffs.items():
-            new = table.get(m, GaussianRational(0)) + (val if sign > 0 else -val)
+            old = table.get(m)
+            if old is None:
+                table[m] = val if sign > 0 else -val
+                continue
+            new = old + val if sign > 0 else old - val
             if new:
                 table[m] = new
             else:
-                table.pop(m, None)
+                del table[m]
         out = SparseVector.zero(self.genus, full=self.full or other.full)
         out.coeffs = table
         return out

@@ -4,9 +4,13 @@ Classes are whitespace-separated integer lines "a1 b1 ... ag bg";
 matrices are row-major integer grids; sparse vectors are one support
 point per line with rational real/imaginary parts "num/den"; relations,
 cocycles and solve reports are JSON.  All emitters sort support points
-so output is byte-stable.
+so output is byte-stable.  JSON decoders take integers and booleans only
+as JSON integers and booleans: a float, a string or a bool where an
+integer belongs (or a non-bool where a flag belongs) is a ValueError that
+names the field, never a silent coercion.
 """
 
+import json
 from fractions import Fraction
 
 from .cohomology import Cocycle, GeneratorSet, SolveReport
@@ -39,8 +43,29 @@ def class_to_json(m):
     return list(m.coords)
 
 
-def class_from_json(obj, genus=None):
-    coords = tuple(int(a) for a in obj)
+def _bad_json(field, kind, x):
+    got = json.dumps(x, default=repr)
+    return ValueError("%s must be a JSON %s, got %s" % (field, kind, got))
+
+
+def _json_int(x, field):
+    # type(), not isinstance(): a JSON true/false decodes to a bool, an int subclass
+    if type(x) is not int:
+        raise _bad_json(field, "integer", x)
+    return x
+
+
+def _json_bool(x, field):
+    if type(x) is not bool:
+        raise _bad_json(field, "boolean", x)
+    return x
+
+
+def class_from_json(obj, genus=None, field="'class'"):
+    coords = tuple(obj)
+    for a in coords:
+        if type(a) is not int:
+            raise _bad_json("coordinate of " + field, "integer", a)
     if genus is not None and len(coords) != 2 * genus:
         raise ValueError("expected %d coordinates, got %d" % (2 * genus, len(coords)))
     return HomologyClass(coords)
@@ -111,8 +136,8 @@ def sparse_to_json(v):
 
 
 def sparse_from_json(obj):
-    genus = int(obj["genus"])
-    full = bool(obj.get("full", False))
+    genus = _json_int(obj["genus"], "'genus'")
+    full = _json_bool(obj.get("full", False), "'full'")
     entries = []
     for entry in obj.get("coefficients", ()):
         m = class_from_json(entry["class"], genus)
@@ -126,10 +151,13 @@ def curve_to_json(c):
 
 
 def curve_from_json(obj, genus=None):
+    cid = str(obj["id"])
     return Curve(
-        id=str(obj["id"]),
-        cls=class_from_json(obj["cls"], genus),
-        separating=bool(obj.get("separating", False)),
+        id=cid,
+        cls=class_from_json(obj["cls"], genus, "'cls' of curve %r" % cid),
+        separating=_json_bool(
+            obj.get("separating", False), "'separating' of curve %r" % cid
+        ),
     )
 
 
@@ -137,8 +165,13 @@ def word_to_json(w):
     return [[cid, e] for cid, e in w.letters]
 
 
-def word_from_json(obj):
-    return TwistWord(tuple((str(cid), int(e)) for cid, e in obj))
+def word_from_json(obj, field="'word'"):
+    letters = []
+    for cid, e in obj:
+        if type(e) is not int:
+            raise _bad_json("exponent of %r in %s" % (str(cid), field), "integer", e)
+        letters.append((str(cid), e))
+    return TwistWord(tuple(letters))
 
 
 def relation_to_json(rel):
@@ -152,14 +185,17 @@ def relation_to_json(rel):
 
 
 def relation_from_json(obj):
+    intersections = []
+    for a, b, n in obj.get("intersections", ()):
+        if type(n) is not int:
+            raise _bad_json("intersection number of %r and %r" % (a, b), "integer", n)
+        intersections.append((str(a), str(b), n))
     return RelationInstance(
         name=str(obj["name"]),
         curves=tuple(curve_from_json(c) for c in obj["curves"]),
-        lhs=word_from_json(obj["lhs"]),
-        rhs=word_from_json(obj["rhs"]),
-        intersections=tuple(
-            (str(a), str(b), int(n)) for a, b, n in obj.get("intersections", ())
-        ),
+        lhs=word_from_json(obj["lhs"], "'lhs'"),
+        rhs=word_from_json(obj["rhs"], "'rhs'"),
+        intersections=tuple(intersections),
     )
 
 
@@ -172,7 +208,7 @@ def cocycle_to_json(u):
 
 
 def cocycle_from_json(obj):
-    genus = int(obj["genus"])
+    genus = _json_int(obj["genus"], "'genus'")
     gens = GeneratorSet(curve_from_json(c, genus) for c in obj["generators"])
     values = {cid: sparse_from_json(v) for cid, v in obj["values"].items()}
     return Cocycle(gens, values)

@@ -2,7 +2,8 @@
 
 Oracles here intentionally avoid the library code paths they check:
 matrix products are done on plain lists, the pairing is expanded over
-basis pairs, grid means are brute-force sums.
+basis pairs, grid means are brute-force sums, and the telescoping solver
+is checked against the step-by-step candidate walk it replaced.
 """
 
 import cmath
@@ -16,6 +17,9 @@ from twistlab import (
     SparseVector,
     TorusPoint,
     TwistWord,
+    basis_curve_class,
+    choose_increasing_twist,
+    transvect,
 )
 
 
@@ -146,3 +150,84 @@ def oracle_evaluate(v, rho):
     return total
 
 
+
+
+def _oracle_tables(u):
+    "Raw tables of u on the basis twists and their inverses, and n_max."
+    g = u.genus
+    plus_raw, minus_raw = [], []
+    for idx in range(2 * g):
+        cls = basis_curve_class(g, idx)
+        vp = u.value(u.gens.find_by_class(cls).id)
+        plus_raw.append({m.coords: val for m, val in vp.items()})
+        minus_raw.append({transvect(cls, -1, m).coords: -val for m, val in vp.items()})
+    n_max = 0
+    for raw in plus_raw + minus_raw:
+        for coords in raw:
+            n_max = max(n_max, sum(abs(a) for a in coords))
+    return plus_raw, minus_raw, n_max
+
+
+def _oracle_step(idx, coords):
+    dual = coords[idx ^ 1]
+    return dual if idx % 2 == 0 else -dual
+
+
+def _oracle_ray_sum(tables, coords):
+    plus_raw, minus_raw, n_max = tables
+    idx, eps = choose_increasing_twist(HomologyClass(coords))
+    step = eps * _oracle_step(idx, coords)
+    raw = plus_raw[idx] if eps > 0 else minus_raw[idx]
+    rest = sum(abs(a) for a in coords) - abs(coords[idx])
+    total = GaussianRational(0)
+    val = coords[idx]
+    while True:
+        val += step
+        if rest + abs(val) > n_max:
+            break
+        hit = raw.get(coords[:idx] + (val,) + coords[idx + 1 :])
+        if hit is not None:
+            total = total + hit
+    return -total
+
+
+def oracle_ray_coefficient(u, m):
+    """-(sum of u's basis twist coefficients up the increasing ray of m),
+    walked one step at a time out to the largest norm in those values."""
+    return _oracle_ray_sum(_oracle_tables(u), m.coords)
+
+
+def oracle_telescope(u):
+    """Primitive of u by the candidate-ball walk, kept as a reference solver.
+
+    Every point of the generator-value supports is pulled back along its
+    own twist ray while the pullback can still re-enter the open ball of
+    radius n_max (the largest norm in those supports); each candidate then
+    sums the generator coefficients up its increasing ray, one step at a
+    time.  The cost grows with the coordinates, so keep the inputs small.
+    """
+    tables = _oracle_tables(u)
+    plus_raw, minus_raw, n_max = tables
+    candidates = set()
+    for idx in range(2 * u.genus):
+        for raw in (plus_raw[idx], minus_raw[idx]):
+            for coords in raw:
+                if 0 < sum(abs(a) for a in coords) < n_max:
+                    candidates.add(coords)
+        for coords in plus_raw[idx]:
+            step = _oracle_step(idx, coords)
+            if step == 0:
+                continue
+            rest = sum(abs(a) for a in coords) - abs(coords[idx])
+            prev = rest + abs(coords[idx])
+            val = coords[idx]
+            while True:
+                val -= step
+                nrm = rest + abs(val)
+                if 0 < nrm < n_max:
+                    candidates.add(coords[:idx] + (val,) + coords[idx + 1 :])
+                if nrm >= n_max and nrm >= prev:
+                    break
+                prev = nrm
+    entries = {HomologyClass(c): _oracle_ray_sum(tables, c) for c in candidates}
+    return SparseVector(u.genus, entries)

@@ -245,3 +245,64 @@ def test_reports_byte_stable(tmp_path, capsys):
     assert run(["solve", "--in", infile, "--out", str(out1)]) == 0
     assert run(["solve", "--in", infile, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _refused(capsys, argv, field):
+    "The call exits 2 and its one stderr line names the field."
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+def _first_value_class(obj, coords):
+    obj["values"]["x1"]["coefficients"][0]["class"] = coords
+    return obj
+
+
+def test_solve_rejects_a_float_coordinate(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=609)
+    obj = _first_value_class(ser.cocycle_to_json(u), [1.5, 0, 0, 0, 0, 1])
+    infile = _write(tmp_path / "bad.json", obj)
+    _refused(capsys, ["solve", "--in", infile], "coordinate of 'class' must be a JSON integer, got 1.5")
+
+
+def test_solve_rejects_a_bool_coordinate(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=610)
+    obj = _first_value_class(ser.cocycle_to_json(u), [1, 0, 0, 0, 0, True])
+    infile = _write(tmp_path / "bad.json", obj)
+    _refused(capsys, ["solve", "--in", infile], "coordinate of 'class' must be a JSON integer, got true")
+
+
+def test_solve_rejects_a_string_separating_flag(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=611)
+    obj = ser.cocycle_to_json(u)
+    obj["generators"][0]["separating"] = "false"
+    infile = _write(tmp_path / "bad.json", obj)
+    _refused(
+        capsys,
+        ["solve", "--in", infile],
+        "'separating' of curve 'x1' must be a JSON boolean, got \"false\"",
+    )
+
+
+def test_verify_relations_rejects_a_float_exponent(tmp_path, capsys):
+    obj = ser.relation_to_json(builtin_catalog(G)[0])
+    obj["lhs"][0][1] = 2.9
+    infile = _write(tmp_path / "rels.json", [obj])
+    cid = obj["lhs"][0][0]
+    _refused(
+        capsys,
+        ["verify-relations", "--in", infile],
+        "exponent of %r in 'lhs' must be a JSON integer, got 2.9" % cid,
+    )
+
+
+def test_verify_relations_rejects_a_float_intersection_number(tmp_path, capsys):
+    obj = ser.relation_to_json(builtin_catalog(G)[0])
+    obj["intersections"] = [["a", "b", 0.4]]
+    infile = _write(tmp_path / "rels.json", [obj])
+    _refused(
+        capsys,
+        ["verify-relations", "--in", infile],
+        "intersection number of 'a' and 'b' must be a JSON integer, got 0.4",
+    )

@@ -36,6 +36,7 @@ from helpers import (
     oracle_transvection_rows,
     rand_basis_word,
     rand_class,
+    rand_scalar,
     rand_sparse,
     rand_torus_point,
 )
@@ -69,6 +70,48 @@ def test_sparse_vector_arithmetic():
     assert (v * Fraction(2, 3)).coefficient(x1) == Fraction(2, 3)
     assert v.norm_sq() == 2
     assert v.norm() == ExactSqrt(2)
+
+
+def _plain(v):
+    "The coefficient table as plain (re, im) Fraction pairs."
+    return {m.coords: (val.re, val.im) for m, val in v.items()}
+
+
+def _plain_merge(a, b, sign):
+    out = dict(a)
+    for m, (re, im) in b.items():
+        old_re, old_im = out.pop(m, (0, 0))
+        total = (old_re + sign * re, old_im + sign * im)
+        if total != (0, 0):
+            out[m] = total
+    return out
+
+
+def test_merge_against_plain_dict_oracle():
+    rng = random.Random(309)
+    pool = [rand_class(rng, G, 2) for _ in range(10)]
+    for _ in range(200):
+        v = SparseVector(
+            G,
+            {m: rand_scalar(rng, 5, 3) for m in rng.sample(pool, rng.randint(0, 6))},
+            full=rng.random() < 0.3,
+        )
+        w_entries = {m: rand_scalar(rng, 5, 3) for m in rng.sample(pool, rng.randint(0, 6))}
+        for m, val in v.items():
+            # exact cancellations in the sum and in the difference
+            roll = rng.random()
+            if roll < 0.25:
+                w_entries[m] = val
+            elif roll < 0.5:
+                w_entries[m] = -val
+        w = SparseVector(G, w_entries, full=rng.random() < 0.3)
+        v_before, w_before = _plain(v), _plain(w)
+        for sign, got in ((1, v + w), (-1, v - w)):
+            assert _plain(got) == _plain_merge(v_before, w_before, sign)
+            assert all(got.coeffs.values())
+            assert got.full == (v.full or w.full)
+        assert not (v - v) and not (w - w)
+        assert _plain(v) == v_before and _plain(w) == w_before
 
 
 def test_act_examples():

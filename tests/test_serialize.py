@@ -115,3 +115,16 @@ def test_sqrt_json():
     obj = ser.sqrt_to_json(x)
     assert obj["square"] == "9/4" and obj["approx"] == 1.5
     assert ser.sqrt_from_json(obj) == x
+
+
+def test_json_decoders_take_only_json_integers_and_booleans():
+    for coords in ([1.5, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, True], [1, 0, 0, 0, 0, "1"]):
+        with pytest.raises(ValueError, match="coordinate of 'class'"):
+            ser.class_from_json(coords)
+    v = ser.sparse_to_json(SparseVector.basis(x_basis(G, 1)))
+    for key, bad in (("genus", 3.0), ("genus", True), ("full", 0), ("full", "false")):
+        with pytest.raises(ValueError, match="'%s' must be a JSON" % key):
+            ser.sparse_from_json(dict(v, **{key: bad}))
+    with pytest.raises(ValueError, match="exponent of 'a' in 'word'"):
+        ser.word_from_json([["a", False]])
+    assert ser.word_from_json([["a", -2]]).letters == (("a", -2),)
