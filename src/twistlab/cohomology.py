@@ -19,9 +19,17 @@ not with the size of their coordinates.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact import ExactSqrt, GaussianRational
-from .fourier import SparseVector, decay_constants, inner, twist
+from .exact import ExactSqrt, GaussianRational, abs2_ratio
+from .fourier import (
+    SparseVector,
+    decay_constants,
+    decay_from_norms,
+    inner,
+    signed_norm_sq,
+    twist,
+)
 from .lattice import (
     HomologyClass,
     basis_curve_class,
@@ -187,9 +195,9 @@ def matches_generators(rel, gens):
 def relation_residual(u, rel):
     "Norm of extend(lhs) - extend(rhs); zero for genuine cocycles."
     table = rel.table
-    lhs = extend(u, _translate_word(rel.lhs, table, u.gens))
-    rhs = extend(u, _translate_word(rel.rhs, table, u.gens))
-    return (lhs - rhs).norm()
+    lhs = expansion_terms(u, _translate_word(rel.lhs, table, u.gens))
+    rhs = expansion_terms(u, _translate_word(rel.rhs, table, u.gens))
+    return ExactSqrt(signed_norm_sq([(1, t) for t in lhs] + [(-1, t) for t in rhs]))
 
 
 def max_relation_residual(u, relations):
@@ -238,21 +246,6 @@ def c_pairing(u, a, b):
     return inner(s_vector(u, a), s_vector(u, b))
 
 
-def _basis_twist_values(u):
-    "Per interleaved basis index: (class, value of twist, value of inverse)."
-    g = u.genus
-    out = []
-    for idx in range(2 * g):
-        cls = basis_curve_class(g, idx)
-        gen = u.gens.find_by_class(cls)
-        if gen is None:
-            raise ValueError("generators must include all 2g basis curves")
-        vp = u.value(gen.id)
-        vm = -twist(cls, -1, vp)
-        out.append((cls, vp, vm))
-    return out
-
-
 @dataclass
 class SolveReport:
     f: SparseVector
@@ -268,10 +261,6 @@ class SmoothnessCheck:
     witnesses: tuple = ()
 
 
-def _raw_table(v):
-    return {m.coords: val for m, val in v.items()}
-
-
 def _basis_step(idx, coords):
     # pairing of basis curve idx with the point; the twist about that
     # curve shifts coordinate idx by this amount per application
@@ -279,15 +268,21 @@ def _basis_step(idx, coords):
     return dual if idx % 2 == 0 else -dual
 
 
-def _telescope(plus_raw, minus_raw):
+def _telescope(values):
     """f_m = -(sum of the hits strictly up the increasing ray of m).
+
+    values[idx] is u on basis curve idx; its points are the hits of the
+    twist's table.  The inverse twist's table u(t^-1) = -t^-1 u(t) is read
+    from the same points: each moves one step back along coordinate idx,
+    and its coefficient is subtracted instead of added.
 
     The twist about basis curve idx moves only coordinate idx, by the fixed
     dual coordinate per step, so every ray lies on one coordinate line.
     The hits of each table are grouped by line (index, sign, the other
     coordinates, coordinate mod step) and walked inward from the outermost
-    one, carrying the sum of the hits already passed; wherever that sum is
-    nonzero, every point of the line that chooses this ray gets -sum.
+    one, carrying the sum of the hits already passed as unreduced integer
+    ratios; wherever that sum is nonzero, it is reduced once and every
+    point of the line that chooses this ray gets -sum.
 
     Along a line, s is the coordinate measured in the ray direction.  The
     points choosing an odd (y-type) index form the half-line s >= 0
@@ -297,20 +292,23 @@ def _telescope(plus_raw, minus_raw):
     generator supports.
     """
     lines = {}
-    for idx, (plus, minus) in enumerate(zip(plus_raw, minus_raw)):
+    for idx, v in enumerate(values):
         handle = idx & ~1  # index of the handle's a-coordinate
-        for eps, raw in ((1, plus), (-1, minus)):
-            if eps < 0 and idx == handle:
+        for m, val in v.items():
+            coords = m.coords
+            step = _basis_step(idx, coords)
+            # a nonzero coordinate before the handle picks another ray
+            if not step or any(coords[:handle]):
+                continue
+            before, after, a = coords[:idx], coords[idx + 1 :], coords[idx]
+            hit = val.ratios()
+            key = (idx, 1, step, before, after, a % abs(step))
+            lines.setdefault(key, []).append((a if step > 0 else -a, hit))
+            if idx == handle:
                 continue  # no point chooses an x-type ray with sign -1
-            for coords, val in raw.items():
-                step = eps * _basis_step(idx, coords)
-                # a nonzero coordinate before the handle picks another ray
-                if not step or any(coords[:handle]):
-                    continue
-                before, after = coords[:idx], coords[idx + 1 :]
-                key = (idx, eps, step, before, after, coords[idx] % abs(step))
-                s = coords[idx] if step > 0 else -coords[idx]
-                lines.setdefault(key, []).append((s, val))
+            a -= step  # the inverse twist moves the point one step back
+            key = (idx, -1, -step, before, after, a % abs(step))
+            lines.setdefault(key, []).append((-a if step > 0 else a, hit))
 
     f_raw = {}
     for (idx, eps, step, before, after, _), hits in lines.items():
@@ -318,20 +316,27 @@ def _telescope(plus_raw, minus_raw):
         lo = 1 if eps < 0 else 0
         hi = 0 if idx % 2 == 0 else None
         hits.sort(key=lambda hit: hit[0], reverse=True)
-        total = GaussianRational(0)
-        for i, (s, val) in enumerate(hits):
+        # the running sum of the u(t) coefficients: re = p/q, im = r/t
+        p, q, r, t = 0, 1, 0, 1
+        for i, (s, (hp, hq, hr, ht)) in enumerate(hits):
             top = s - width
             if top < lo:
                 break
-            total = total + val
-            if not total:
+            p, q = (p + hp, q) if q == hq else (p * hq + hp * q, q * hq)
+            r, t = (r + hr, t) if t == ht else (r * ht + hr * t, t * ht)
+            if not (p or r):
+                p, q, r, t = 0, 1, 0, 1
                 continue
+            re, im = Fraction(p, q), Fraction(r, t)
+            p, q = re.as_integer_ratio()
+            r, t = im.as_integer_ratio()
             if hi is not None:
                 top = min(top, hi - (hi - s) % width)
             bottom = max(hits[i + 1][0], lo) if i + 1 < len(hits) else lo
-            value = -total
-            for p in range(top, bottom - 1, -width):
-                f_raw[before + ((p if step > 0 else -p),) + after] = value
+            # f = -(sum of the table values); the inverse table holds -u(t)
+            value = GaussianRational(-re, -im) if eps > 0 else GaussianRational(re, im)
+            for pt in range(top, bottom - 1, -width):
+                f_raw[before + ((pt if step > 0 else -pt),) + after] = value
     return f_raw
 
 
@@ -356,27 +361,33 @@ def solve_coboundary(u, relations=None):
                 "nonzero residual %s on relation %r" % (r, rel.name)
             )
 
-    tables = _basis_twist_values(u)
-    f_raw = _telescope(
-        [_raw_table(vp) for _, vp, _ in tables],
-        [_raw_table(vm) for _, _, vm in tables],
-    )
+    values = []
+    for idx in range(2 * g):
+        gen = u.gens.find_by_class(basis_curve_class(g, idx))
+        values.append(u.value(gen.id))
     f = SparseVector.zero(g)
-    f.coeffs = {HomologyClass(coords): val for coords, val in f_raw.items()}
+    f.coeffs = {HomologyClass(coords): val for coords, val in _telescope(values).items()}
 
     residual_sq = 0
     for curve in u.gens:
         # the t^-1 side f - t^-1 f + t^-1 u(c) is -t^-1 (f - t f - u(c)), a
         # relabelling of this one, so it has the same norm
-        diff = (f - twist(curve.cls, 1, f)) - u.value(curve.id)
-        residual_sq = max(residual_sq, diff.norm_sq())
+        terms = ((1, f), (-1, twist(curve.cls, 1, f)), (-1, u.value(curve.id)))
+        residual_sq = max(residual_sq, signed_norm_sq(terms))
+
+    # G reads the 4g basis twist values: u(t) and u(t^-1) = -t^-1 u(t), whose
+    # points carry the same coefficients, with only coordinate idx moved
+    def g_points():
+        for idx, v in enumerate(values):
+            for m, val in v.items():
+                n, a = norm1(m), m.coords[idx]
+                yield (n, n - abs(a) + abs(a - _basis_step(idx, m.coords))), val
 
     orders = range(2, 6)
-    values = [v for _, vp, vm in tables for v in (vp, vm)]
     decay = zip(
         orders,
         decay_constants((f,), orders),
-        decay_constants(values, [k + 1 for k in orders]),
+        decay_from_norms(g_points(), [k + 1 for k in orders]),
     )
     return SolveReport(f=f, residual=ExactSqrt(residual_sq), decay=tuple(decay))
 
@@ -387,21 +398,24 @@ def smoothness_report(report, kmax=5):
     G_{k+1}, the largest decay constant of the 4g basis twist values at
     order k+1, is read from the report's decay table; a k in 2..kmax that
     the table lacks raises ValueError.  Witnesses come in support order.
-    All comparisons are exact (done on squares).
+    All comparisons are exact: squares, cross-multiplied as integer ratios.
     """
     if report.residual:
         raise ValueError("smoothness check needs an exact reconstruction")
     g_table = {k: gk for k, _, gk in report.decay}
-    f_points = [(m, norm1(m), report.f.coefficient(m).abs2()) for m in report.f.support]
+    f_points = [
+        (m, norm1(m), *abs2_ratio(*report.f.coefficient(m).ratios())) for m in report.f.support
+    ]
     out = []
     for k in range(2, kmax + 1):
         if k not in g_table:
             raise ValueError("the report's decay table has no G_%d" % (k + 1))
         g_sq = g_table[k].square
+        g_num, g_den = g_sq.as_integer_ratio()
         witnesses = []
-        for m, n, a2 in f_points:
-            lhs_sq = k * k * n ** (2 * k) * a2
-            if lhs_sq > g_sq:
-                witnesses.append((m, a2, g_sq / (k * k * n ** (2 * k))))
+        for m, n, num, den in f_points:
+            weight = k * k * n ** (2 * k)
+            if weight * num * g_den > g_num * den:
+                witnesses.append((m, Fraction(num, den), g_sq / weight))
         out.append(SmoothnessCheck(k=k, passed=not witnesses, witnesses=tuple(witnesses)))
     return out

@@ -18,6 +18,12 @@ def _frac(x):
     raise TypeError("expected an int or Fraction, got %s" % type(x).__name__)
 
 
+def abs2_ratio(p, q, r, s):
+    "|p/q + i r/s|^2 as an unreduced integer ratio (numerator, denominator)."
+    qs = q * s
+    return p * p * s * s + r * r * q * q, qs * qs
+
+
 def _as_gaussian(x):
     if isinstance(x, GaussianRational):
         return x
@@ -48,6 +54,10 @@ class GaussianRational:
     def abs2(self):
         "Squared modulus, an exact nonnegative rational."
         return self.re * self.re + self.im * self.im
+
+    def ratios(self):
+        "(p, q, r, s) with re = p/q and im = r/s, in lowest terms."
+        return self.re.as_integer_ratio() + self.im.as_integer_ratio()
 
     def __abs__(self):
         return ExactSqrt(self.abs2())

@@ -7,9 +7,10 @@ numbers; evaluation at torus points is the only floating-point path.
 """
 
 import cmath
+from fractions import Fraction
 
-from .exact import ExactSqrt, GaussianRational
-from .lattice import HomologyClass, norm1, transvect
+from .exact import ExactSqrt, GaussianRational, abs2_ratio
+from .lattice import HomologyClass, norm1
 
 
 class AliasingError(ValueError):
@@ -125,8 +126,7 @@ class SparseVector:
 
     def norm_sq(self):
         "Squared l2 norm, an exact rational."
-        total = sum((v.abs2() for v in self.coeffs.values()), start=0)
-        return total
+        return signed_norm_sq(((1, self),))
 
     def norm(self):
         return ExactSqrt(self.norm_sq())
@@ -145,12 +145,68 @@ def act(M, v):
 
 
 def twist(c, n, v):
-    "The n-fold twist about the class c: relabel the support by transvection."
+    """The n-fold twist about the class c: relabel the support by the
+    transvection m -> m + n <c, m> c.
+
+    Only the coordinates where c is nonzero move, and <c, m> reads only
+    their partner coordinates (a_j pairs with b_j), so a point costs
+    O(|supp c|), not O(2g).
+    """
     if len(c.coords) != 2 * v.genus:
         raise ValueError("dimension mismatch")
+    moves = [(k, a) for k, a in enumerate(c.coords) if a]
+    # <c, m> = sum_j c_aj m_bj - c_bj m_aj
+    reads = [(k ^ 1, n * a if k % 2 == 0 else -n * a) for k, a in moves]
+    table = {}
+    for m, val in v.coeffs.items():
+        coords = m.coords
+        t = 0
+        for k, w in reads:
+            t += w * coords[k]
+        if t:
+            moved = list(coords)
+            for k, a in moves:
+                moved[k] += t * a
+            m = HomologyClass(moved)
+        table[m] = val
     out = SparseVector.zero(v.genus, full=v.full)
-    out.coeffs = {transvect(c, n, m): val for m, val in v.coeffs.items()}
+    out.coeffs = table
     return out
+
+
+def signed_norm_sq(terms):
+    """Exact squared norm of sum(sign * v) over (sign, SparseVector) terms.
+
+    Each point keeps its real and imaginary parts as unreduced integer
+    ratios: numerators add directly over equal denominators and
+    cross-multiply otherwise.  A part is zero iff its numerator is, so
+    cancellations are decided without a gcd, and only the points left
+    nonzero are reduced into the rational total.
+    """
+    acc = {}
+    for sign, v in terms:
+        for m, val in v.coeffs.items():
+            p, q, r, s = val.ratios()
+            if sign < 0:
+                p, r = -p, -r
+            old = acc.get(m)
+            if old is None:
+                acc[m] = [p, q, r, s]
+                continue
+            op, oq, or_, os_ = old
+            if q == oq:
+                old[0] = op + p
+            else:
+                old[0], old[1] = op * q + p * oq, oq * q
+            if s == os_:
+                old[2] = or_ + r
+            else:
+                old[2], old[3] = or_ * s + r * os_, os_ * s
+    total = Fraction(0)
+    for p, q, r, s in acc.values():
+        if p or r:
+            total += Fraction(*abs2_ratio(p, q, r, s))
+    return total
 
 
 def inner(v, w):
@@ -248,27 +304,42 @@ def grid_mean(v, N):
     return complex(total)
 
 
-def decay_constants(vectors, orders):
-    """Per order k, the smallest F with norm1(m)^k |coeff| <= F over the
-    supports of all the vectors (0 if they are all empty).
+def decay_from_norms(points, orders):
+    """Per order k, the smallest F with n^k |coeff| <= F over the
+    (norms, coeff) pairs of points, n running over the norms of the
+    support points that carry coeff (0 if there are none).
 
-    Each point's (norm1, |coeff|^2) is computed once; only the largest
-    |coeff|^2 per norm can attain a maximum, so every order is a maximum
-    over the distinct norms.
+    Every |coeff|^2 is an unreduced integer ratio, computed once per pair,
+    and only the largest one per n can attain a maximum; both maxima are
+    taken by cross-multiplication, so the one Fraction built per order is
+    the printed square.
     """
     orders = tuple(orders)
     if any(k < 0 for k in orders):
         raise ValueError("k must be nonnegative")
     peak = {}
-    for v in vectors:
-        for m, val in v.items():
-            n, a2 = norm1(m), val.abs2()
-            if a2 > peak.get(n, 0):
-                peak[n] = a2
-    return [
-        ExactSqrt(max((n ** (2 * k) * a2 for n, a2 in peak.items()), default=0))
-        for k in orders
-    ]
+    for norms, val in points:
+        num, den = abs2_ratio(*val.ratios())
+        for n in norms:
+            old = peak.get(n)
+            if old is None or num * old[1] > old[0] * den:
+                peak[n] = (num, den)
+    out = []
+    for k in orders:
+        best_num, best_den = 0, 1
+        for n, (num, den) in peak.items():
+            num *= n ** (2 * k)
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        out.append(ExactSqrt(Fraction(best_num, best_den)))
+    return out
+
+
+def decay_constants(vectors, orders):
+    """Per order k, the smallest F with norm1(m)^k |coeff| <= F over the
+    supports of all the vectors (0 if they are all empty)."""
+    points = (((norm1(m),), val) for v in vectors for m, val in v.items())
+    return decay_from_norms(points, orders)
 
 
 def decay_constant(v, k):

@@ -5,9 +5,10 @@ matrices are row-major integer grids; sparse vectors are one support
 point per line with rational real/imaginary parts "num/den"; relations,
 cocycles and solve reports are JSON.  All emitters sort support points
 so output is byte-stable.  JSON decoders take integers and booleans only
-as JSON integers and booleans: a float, a string or a bool where an
-integer belongs (or a non-bool where a flag belongs) is a ValueError that
-names the field, never a silent coercion.
+as JSON integers and booleans, and rationals only as JSON strings: a
+float, a string or a bool where an integer belongs, a non-bool where a
+flag belongs, or a number where a rational string belongs is a ValueError
+that names the field, never a silent coercion.
 """
 
 import json
@@ -25,7 +26,10 @@ def format_fraction(q):
 
 
 def parse_fraction(s):
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 def format_class(m):
@@ -76,15 +80,23 @@ def matrix_to_json(M):
 
 
 def matrix_from_json(rows):
-    return SymplecticMatrix(tuple(tuple(int(a) for a in row) for row in rows))
+    return SymplecticMatrix(
+        tuple(
+            tuple(_json_int(a, "matrix entry (%d, %d)" % (i, j)) for j, a in enumerate(row))
+            for i, row in enumerate(rows)
+        )
+    )
 
 
 def sqrt_to_json(x):
     return {"square": format_fraction(x.square), "approx": float(x)}
 
 
-def sqrt_from_json(obj):
-    return ExactSqrt(parse_fraction(obj["square"]))
+def sqrt_from_json(obj, field="'square'"):
+    square = obj["square"]
+    if type(square) is not str:
+        raise _bad_json(field, "string", square)
+    return ExactSqrt(parse_fraction(square))
 
 
 def _sorted_items(v):
@@ -141,8 +153,12 @@ def sparse_from_json(obj):
     entries = []
     for entry in obj.get("coefficients", ()):
         m = class_from_json(entry["class"], genus)
-        val = GaussianRational(parse_fraction(entry["re"]), parse_fraction(entry["im"]))
-        entries.append((m, val))
+        re, im = entry["re"], entry["im"]
+        if type(re) is not str or type(im) is not str:
+            part = "re" if type(re) is not str else "im"
+            at = "'%s' of the coefficient at %s" % (part, m)
+            raise _bad_json(at, "string", entry[part])
+        entries.append((m, GaussianRational(parse_fraction(re), parse_fraction(im))))
     return SparseVector(genus, entries, full=full)
 
 
@@ -227,11 +243,14 @@ def report_to_json(rep):
 
 
 def report_from_json(obj):
+    decay = []
+    for e in obj.get("decay", ()):
+        k = _json_int(e["k"], "'k' of a decay entry")
+        at = " of the decay entry with k = %d" % k
+        fk = sqrt_from_json(e["F"], "'square' of 'F'" + at)
+        decay.append((k, fk, sqrt_from_json(e["G"], "'square' of 'G'" + at)))
     return SolveReport(
         f=sparse_from_json(obj["f"]),
-        residual=sqrt_from_json(obj["residual"]),
-        decay=tuple(
-            (int(e["k"]), sqrt_from_json(e["F"]), sqrt_from_json(e["G"]))
-            for e in obj.get("decay", ())
-        ),
+        residual=sqrt_from_json(obj["residual"], "'square' of the residual"),
+        decay=tuple(decay),
     )

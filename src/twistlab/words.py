@@ -42,8 +42,11 @@ class TwistWord:
     letters: tuple = ()
 
     def __post_init__(self):
-        letters = tuple((str(c), int(e)) for c, e in self.letters)
-        for _, e in letters:
+        letters = tuple((str(c), e) for c, e in self.letters)
+        for c, e in letters:
+            # type(), not isinstance(): a bool is an int subclass
+            if type(e) is not int:
+                raise TypeError("exponent of %r must be an integer, got %r" % (c, e))
             if e == 0:
                 raise ValueError("zero exponent in twist word")
         object.__setattr__(self, "letters", letters)

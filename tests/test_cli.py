@@ -6,8 +6,10 @@ import pytest
 
 from twistlab import (
     Cocycle,
+    ExactSqrt,
     GaussianRational,
     GeneratorSet,
+    HomologyClass,
     SparseVector,
     builtin_catalog,
     coboundary,
@@ -306,3 +308,73 @@ def test_verify_relations_rejects_a_float_intersection_number(tmp_path, capsys):
         ["verify-relations", "--in", infile],
         "intersection number of 'a' and 'b' must be a JSON integer, got 0.4",
     )
+
+
+def test_solve_rejects_a_float_coefficient(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=612)
+    obj = ser.cocycle_to_json(u)
+    entry = obj["values"]["y1"]["coefficients"][0]
+    entry["re"] = 0.1
+    infile = _write(tmp_path / "bad.json", obj)
+    point = " ".join(str(a) for a in entry["class"])
+    _refused(
+        capsys,
+        ["solve", "--in", infile],
+        "'re' of the coefficient at %s must be a JSON string, got 0.1" % point,
+    )
+
+
+def test_decay_report_rejects_a_number_or_a_zero_denominator(tmp_path, capsys):
+    obj = ser.sparse_to_json(SparseVector.basis(x_basis(G, 2), GaussianRational(1, 2)))
+    obj["coefficients"][0]["im"] = 2
+    infile = _write(tmp_path / "bad.json", obj)
+    _refused(
+        capsys,
+        ["decay-report", "--in", infile],
+        "'im' of the coefficient at 0 0 1 0 0 0 must be a JSON string, got 2",
+    )
+    obj["coefficients"][0]["im"] = "1/0"
+    _write(tmp_path / "bad.json", obj)
+    _refused(capsys, ["decay-report", "--in", infile], "zero denominator in '1/0'")
+    text = tmp_path / "bad.txt"
+    text.write_text("0 0 1 0 0 0  1/0  0/1\n")
+    _refused(capsys, ["decay-report", "--in", str(text)], "zero denominator in '1/0'")
+
+
+def test_perturbation_residual_values_and_refusal(tmp_path, capsys):
+    """d e_p added to u(x1), at a point p that the twists about x1, y1 and y2
+    fix and the twist about x2 moves: the six basis relation residuals have
+    squares exactly 2|d|^2, 0, |d|^2, 0, 0, 0, and solve refuses at the
+    first one."""
+    rng = random.Random(613)
+    names = [
+        "commuting-x1-x2",
+        "commuting-x1-y2",
+        "braid-x1-y1",
+        "braid-x2-y2",
+        "bounding-pair-x1",
+        "bounding-pair-y2",
+    ]
+    for g in (3, 4, 5, 6):
+        gens = GeneratorSet.symplectic_basis(g)
+        u = coboundary(rand_sparse(rng, g, 12), gens)
+        p = (0, 0, 0, rng.choice((-3, -2, -1, 1, 2, 3))) + tuple(
+            rng.randint(-3, 3) for _ in range(2 * g - 4)
+        )
+        d = GaussianRational(Fraction(rng.randint(-999, 999), rng.randint(1, 999)), Fraction(7, 3))
+        bump = SparseVector.basis(HomologyClass(p), d)
+        pert = Cocycle(gens, dict(u.values, x1=u.value("x1") + bump))
+        infile = _write(tmp_path / "pert.json", ser.cocycle_to_json(pert))
+        out = tmp_path / "report.json"
+        assert run(["check-cocycle", "--in", infile, "--out", str(out)]) == 1
+        got = {
+            r["name"]: Fraction(r["residual"]["square"])
+            for r in json.loads(out.read_text())["relation_residuals"]
+        }
+        d2 = d.abs2()
+        assert got == dict(zip(names, (2 * d2, 0, d2, 0, 0, 0)))
+        capsys.readouterr()
+        assert run(["solve", "--genus", str(g), "--in", infile]) == 2
+        assert capsys.readouterr().err == (
+            "refused: nonzero residual %s on relation 'commuting-x1-x2'\n" % ExactSqrt(2 * d2)
+        )

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import (
     AliasingError,
@@ -28,7 +29,9 @@ from twistlab import (
     y_basis,
     zero_class,
     basis_curves,
+    basis_curve_class,
 )
+from twistlab.fourier import signed_norm_sq
 
 from helpers import (
     brute_grid_mean,
@@ -126,8 +129,9 @@ def test_act_examples():
 def test_twist_matches_matrix_action_and_oracle():
     rng = random.Random(302)
     for g in (3, 4):
-        for _ in range(60):
-            c = rand_class(rng, g, 3)
+        # basis classes, their multiples k e_i with |k| >= 2, and negatives
+        multiples = [basis_curve_class(g, i) * k for i in range(2 * g) for k in (1, -1, 2, -3)]
+        for c in multiples + [rand_class(rng, g, 3) for _ in range(60)]:
             n = rng.choice((1, -1, 2, -2))
             v = rand_sparse(rng, g, rng.randint(0, 10))
             got = twist(c, n, v)
@@ -294,8 +298,53 @@ def test_decay_constants_match_per_order():
                 default=0,
             )
             assert fk.square == brute
+    # all-empty inputs
+    for vectors in ([], [SparseVector.zero(G)] * 3):
+        assert all(fk.square == 0 for fk in decay_constants(vectors, orders))
+    # ties: equal |coeff|^2 on one norm (1, -i, 3/5 + 4/5 i), and across
+    # norms, where n^k |coeff| agree at some order (1 * 4 = 2 * 2 at k = 1)
+    units = [1, GaussianRational(0, -1), GaussianRational(Fraction(3, 5), Fraction(4, 5))]
+    pool = units + [2, 4, Fraction(1, 2), GaussianRational(-2, 0)]
+    for _ in range(60):
+        vectors = []
+        for _ in range(rng.randint(1, 3)):
+            points = [rand_class(rng, G, 1) for _ in range(rng.randint(0, 6))]
+            vectors.append(SparseVector(G, {m: rng.choice(pool) for m in points}))
+        for k, fk in zip(orders, decay_constants(vectors, orders)):
+            brute = max(
+                (norm1(m) ** (2 * k) * val.abs2() for v in vectors for m, val in v.items()),
+                default=0,
+            )
+            assert fk.square == brute
+    e1, f2 = x_basis(G, 1), x_basis(G, 1) + y_basis(G, 2)
+    tied = SparseVector(G, {e1: 4, f2: GaussianRational(0, 2), y_basis(G, 1): -4})
+    assert [fk.square for fk in decay_constants([tied], (0, 1, 2))] == [16, 16, 64]
     with pytest.raises(ValueError):
         decay_constants([SparseVector.zero(G)], [2, -1])
+
+
+_POOL = [HomologyClass(c) for c in ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, -1, 0, 2, 0, 0),
+                                      (0, 0, 0, 0, 3, -1), (2, 1, -1, 0, 0, 1))]
+# few denominators, so equal and unequal ones both come up at a point
+_part = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 35)))
+_vector = st.dictionaries(st.sampled_from(_POOL), st.tuples(_part, _part), max_size=4)
+_terms = st.lists(st.tuples(st.sampled_from((1, -1)), _vector, st.booleans()), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms)
+def test_signed_norm_sq_matches_merged_norm(raw):
+    terms = []
+    for sign, entries, mirror in raw:
+        v = SparseVector(G, {m: GaussianRational(re, im) for m, (re, im) in entries.items()})
+        terms.append((sign, v))
+        if mirror:
+            terms.append((-sign, v))  # an exact cancellation of the whole term
+    total = SparseVector.zero(G)
+    for sign, v in terms:
+        total = total + v if sign > 0 else total - v
+    # the oracle sums |coeff|^2 of the merged vector, not through norm_sq
+    assert signed_norm_sq(terms) == sum((val.abs2() for val in total.coeffs.values()), Fraction(0))
 
 
 def test_exact_sqrt_behaviour():

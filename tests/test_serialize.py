@@ -128,3 +128,30 @@ def test_json_decoders_take_only_json_integers_and_booleans():
     with pytest.raises(ValueError, match="exponent of 'a' in 'word'"):
         ser.word_from_json([["a", False]])
     assert ser.word_from_json([["a", -2]]).letters == (("a", -2),)
+
+
+def test_matrix_decoder_takes_only_json_integers():
+    for rows, got in (([[1.5, 0], [0, 1]], "1.5"), ([[1, 0], [0, True]], "true")):
+        msg = r"matrix entry \(\d, \d\) must be a JSON integer, got %s" % got
+        with pytest.raises(ValueError, match=msg):
+            ser.matrix_from_json(rows)
+
+
+def test_report_decoder_takes_an_integer_k_and_string_squares():
+    f = rand_sparse(random.Random(506), G, 4)
+    rep = solve_coboundary(coboundary(f, GeneratorSet.symplectic_basis(G)))
+    obj = ser.report_to_json(rep)
+    bad = json.loads(json.dumps(obj))
+    bad["decay"][0]["k"] = 2.7
+    with pytest.raises(ValueError, match="'k' of a decay entry must be a JSON integer, got 2.7"):
+        ser.report_from_json(bad)
+    bad = json.loads(json.dumps(obj))
+    bad["decay"][1]["G"]["square"] = 0.25
+    msg = "'square' of 'G' of the decay entry with k = 3 must be a JSON string, got 0.25"
+    with pytest.raises(ValueError, match=msg):
+        ser.report_from_json(bad)
+    bad = json.loads(json.dumps(obj))
+    bad["residual"]["square"] = 0
+    with pytest.raises(ValueError, match="'square' of the residual must be a JSON string, got 0"):
+        ser.report_from_json(bad)
+    assert ser.report_from_json(obj).decay == rep.decay

@@ -44,6 +44,10 @@ def _oracle_word_rows(word, table):
 def test_word_validation():
     with pytest.raises(ValueError):
         TwistWord.of(("x1", 0))
+    # no silent int(): a float or a bool exponent is refused, naming the letter
+    for bad in (2.9, True):
+        with pytest.raises(TypeError, match="exponent of 'x1' must be an integer"):
+            TwistWord((("x1", bad),))
     w = TwistWord.of(("x1", 2), ("y1", -1))
     assert len(w) == 2
     assert list(w.singles()) == [("x1", 1), ("x1", 1), ("y1", -1)]
