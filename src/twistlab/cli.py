@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands: verify-relations, solve, orbit, check-cocycle, decay-report.
-Exit status 0 means every check passed, 1 means a verification failed,
-2 means malformed input or a violated precondition.
+Subcommands: verify-relations, solve, orbit, check-cocycle, decay-report;
+each takes only the options it reads.  Exit status 0 means every check
+passed, 1 means a verification failed, 2 means malformed input or a
+violated precondition.
 """
 
 import argparse
@@ -10,68 +11,56 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import serialize
 from .cohomology import (
     NonCocycleError,
-    c_pairing,
     matches_generators,
     relation_residual,
     s_vector,
     smoothness_report,
     solve_coboundary,
 )
-from .fourier import decay_constants
-from .lattice import basis_curve_class, choose_increasing_twist, norm1, transvect
+from .fourier import decay_constants, inner
+from .lattice import basis_curve_class, choose_increasing_twist, norm1, orbit_ray
 from .words import MetadataError, builtin_catalog, check_metadata, word_matrix
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
 
-@dataclass
-class RunConfig:
-    genus: int = 3
-    infile: str = None
-    outfile: str = None
-    fmt: str = None
-
-    def __post_init__(self):
-        if self.genus < 3:
-            raise ValueError("genus < 3")
-
-
-def _emit(cfg, text):
-    if cfg.outfile:
-        with open(cfg.outfile, "w") as fh:
+def _emit(args, text):
+    if args.outfile:
+        with open(args.outfile, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg, obj):
-    _emit(cfg, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _emit_json(args, obj):
+    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _read_infile(cfg):
-    if not cfg.infile:
+def _read_infile(args):
+    if not args.infile:
         raise ValueError("this command needs --in")
-    with open(cfg.infile) as fh:
+    with open(args.infile) as fh:
         return fh.read()
 
 
-def _load_cocycle(cfg):
-    return serialize.cocycle_from_json(json.loads(_read_infile(cfg)))
+def _load_cocycle(args):
+    return serialize.cocycle_from_json(json.loads(_read_infile(args)))
 
 
-def cmd_verify_relations(cfg, dump=False):
-    if cfg.infile:
-        data = json.loads(_read_infile(cfg))
-        relations = [serialize.relation_from_json(obj) for obj in data]
+def cmd_verify_relations(args):
+    if args.infile:
+        relations = serialize.relations_from_json(json.loads(_read_infile(args)))
+        for rel in relations:
+            if any(c.cls.genus != args.genus for c in rel.curves):
+                raise ValueError("relation %r is not of genus %d" % (rel.name, args.genus))
     else:
-        relations = builtin_catalog(cfg.genus)
-    if dump:
-        _emit_json(cfg, [serialize.relation_to_json(rel) for rel in relations])
+        relations = builtin_catalog(args.genus)
+    if args.dump_catalog:
+        _emit_json(args, [serialize.relation_to_json(rel) for rel in relations])
         return PASS
     instances = []
     failed = []
@@ -83,27 +72,28 @@ def cmd_verify_relations(cfg, dump=False):
             default=0,
         )
         check_metadata(rel)
-        ok = lhs == rhs
-        if not ok:
+        if residual:
             failed.append(rel.name)
         instances.append(
-            {"name": rel.name, "passed": ok, "matrix_residual": residual}
+            {"name": rel.name, "passed": not residual, "matrix_residual": residual}
         )
     report = {
-        "genus": cfg.genus,
+        "genus": args.genus,
         "all_passed": not failed,
         "failed": failed,
         "instances": instances,
     }
-    _emit_json(cfg, report)
+    _emit_json(args, report)
     if failed:
         print("failed relations: %s" % ", ".join(failed), file=sys.stderr)
         return FAIL
     return PASS
 
 
-def cmd_solve(cfg):
-    u = _load_cocycle(cfg)
+def cmd_solve(args):
+    u = _load_cocycle(args)
+    if args.genus is not None and args.genus != u.genus:
+        raise ValueError("--genus %d but the cocycle has genus %d" % (args.genus, u.genus))
     report = solve_coboundary(u)
     obj = serialize.report_to_json(report)
     if report.residual:
@@ -113,37 +103,37 @@ def cmd_solve(cfg):
         checks = smoothness_report(report, kmax=5)
         obj["smoothness"] = [{"k": c.k, "passed": c.passed} for c in checks]
         status = PASS if all(c.passed for c in checks) else FAIL
-    _emit_json(cfg, obj)
+    _emit_json(args, obj)
     if status:
         print("reconstruction residual is nonzero or a bound failed", file=sys.stderr)
     return status
 
 
-def cmd_orbit(cfg, start, steps):
-    m = serialize.parse_class(start, genus=cfg.genus)
+def cmd_orbit(args):
+    m = serialize.parse_class(args.start, genus=args.genus)
     if not m:
         raise ValueError("the zero class has no increasing ray")
-    if steps < 1:
+    if args.steps < 1:
         raise ValueError("steps must be at least 1")
     idx, eps = choose_increasing_twist(m)
-    curve = basis_curve_class(m.genus, idx)
-    rows = []
-    for n in range(steps + 1):
-        point = transvect(curve, eps * n, m)
-        rows.append({"n": n, "class": serialize.format_class(point), "norm1": norm1(point)})
-    if cfg.fmt == "json":
-        _emit_json(cfg, rows)
+    ray = orbit_ray(basis_curve_class(m.genus, idx), eps, m, args.steps + 1)
+    rows = [
+        {"n": n, "class": serialize.format_class(point), "norm1": norm1(point)}
+        for n, point in enumerate(ray)
+    ]
+    if args.fmt == "json":
+        _emit_json(args, rows)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["n", "class", "norm1"])
         writer.writeheader()
         writer.writerows(rows)
-        _emit(cfg, buf.getvalue())
+        _emit(args, buf.getvalue())
     return PASS
 
 
-def cmd_check_cocycle(cfg):
-    u = _load_cocycle(cfg)
+def cmd_check_cocycle(args):
+    u = _load_cocycle(args)
     relations = [r for r in builtin_catalog(u.genus) if matches_generators(r, u.gens)]
     rel_report = []
     clean = True
@@ -151,20 +141,18 @@ def cmd_check_cocycle(cfg):
         res = relation_residual(u, rel)
         clean = clean and not res
         rel_report.append({"name": rel.name, "residual": serialize.sqrt_to_json(res)})
+    projected = [(curve, s_vector(u, curve)) for curve in u.gens]
     s_report = []
-    for curve in u.gens:
-        s = s_vector(u, curve)
+    for curve, s in projected:
         clean = clean and not s
-        s_report.append(
-            {"id": curve.id, "norm": serialize.sqrt_to_json(s.norm())}
-        )
+        s_report.append({"id": curve.id, "norm": serialize.sqrt_to_json(s.norm())})
     pair_report = []
-    gens = list(u.gens)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
+    for i, (a, sa) in enumerate(projected):
+        for b, sb in projected[i + 1 :]:
+            # homologous curves bound, so the pair separates and has no pairing
             if a.cls == b.cls or a.cls == -b.cls:
                 continue
-            val = c_pairing(u, a, b)
+            val = inner(sa, sb)
             pair_report.append(
                 {
                     "a": a.id,
@@ -180,32 +168,41 @@ def cmd_check_cocycle(cfg):
         "pairings": pair_report,
         "all_zero": clean,
     }
-    _emit_json(cfg, report)
+    _emit_json(args, report)
     return PASS if clean else FAIL
 
 
-def cmd_decay_report(cfg, kmax):
-    text = _read_infile(cfg)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def cmd_decay_report(args):
+    if args.kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    text = _read_infile(args)
+    if text.lstrip().startswith("{"):
         v = serialize.sparse_from_json(json.loads(text))
     else:
         v = serialize.parse_sparse_lines(text)
-    orders = range(0, kmax + 1)
+    orders = range(0, args.kmax + 1)
     rows = [
         {"k": k, "F": serialize.sqrt_to_json(fk)}
         for k, fk in zip(orders, decay_constants((v,), orders))
     ]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["k", "F_square", "F_approx"])
         for row in rows:
             writer.writerow([row["k"], row["F"]["square"], row["F"]["approx"]])
-        _emit(cfg, buf.getvalue())
+        _emit(args, buf.getvalue())
     else:
-        _emit_json(cfg, {"kmax": kmax, "constants": rows})
+        _emit_json(args, {"kmax": args.kmax, "constants": rows})
     return PASS
+
+
+_OPTIONS = {
+    "--genus": {"type": int, "default": 3},
+    "--in": {"dest": "infile", "default": None},
+    "--out": {"dest": "outfile", "default": None},
+    "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": None},
+}
 
 
 def build_parser():
@@ -215,56 +212,40 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--genus", type=int, default=3)
-        p.add_argument("--in", dest="infile", default=None)
-        p.add_argument("--out", dest="outfile", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+    def command(name, run, help, *options):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        return p
 
-    verify = sub.add_parser("verify-relations", help="run the relation catalog")
-    common(verify)
+    verify = command("verify-relations", cmd_verify_relations, "run the relation catalog",
+                     "--genus", "--in", "--out")
     verify.add_argument(
         "--dump-catalog",
         action="store_true",
         help="emit the instances as JSON instead of verifying them",
     )
-    common(sub.add_parser("solve", help="reconstruct a primitive of a cocycle"))
-
-    orbit = sub.add_parser("orbit", help="emit an increasing twist ray")
-    common(orbit)
+    solve = command("solve", cmd_solve, "reconstruct a primitive of a cocycle", "--in", "--out")
+    solve.add_argument("--genus", type=int, default=None, help="must equal the file's genus")
+    orbit = command("orbit", cmd_orbit, "emit an increasing twist ray",
+                    "--genus", "--out", "--format")
     orbit.add_argument("start", help="class as 'a1 b1 ... ag bg'")
     orbit.add_argument("--steps", type=int, default=5)
-
-    common(sub.add_parser("check-cocycle", help="relation residuals, s-vectors, pairings"))
-
-    decay = sub.add_parser("decay-report", help="decay constants of a sparse vector")
-    common(decay)
+    command("check-cocycle", cmd_check_cocycle, "relation residuals, s-vectors, pairings",
+            "--in", "--out")
+    decay = command("decay-report", cmd_decay_report, "decay constants of a sparse vector",
+                    "--in", "--out", "--format")
     decay.add_argument("--kmax", type=int, default=5)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            genus=args.genus,
-            infile=args.infile,
-            outfile=args.outfile,
-            fmt=args.fmt,
-        )
-        if args.command == "verify-relations":
-            return cmd_verify_relations(cfg, dump=args.dump_catalog)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "orbit":
-            return cmd_orbit(cfg, args.start, args.steps)
-        if args.command == "check-cocycle":
-            return cmd_check_cocycle(cfg)
-        if args.command == "decay-report":
-            return cmd_decay_report(cfg, args.kmax)
-        raise ValueError("unknown command %r" % args.command)
+        if getattr(args, "genus", None) is not None and args.genus < 3:
+            raise ValueError("genus < 3")
+        return args.run(args)
     except (MetadataError, NonCocycleError) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return BAD_INPUT

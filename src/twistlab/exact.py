@@ -79,12 +79,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -98,14 +92,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        d = other.abs2()
-        if not d:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / d, num.im / d)
 
     def __eq__(self, other):
         other = _as_gaussian(other)
@@ -128,13 +114,6 @@ class GaussianRational:
         if not self.im:
             return str(self.re)
         return "%s%+si" % (self.re, self.im)
-
-
-def _square_of(other):
-    "Square of a nonnegative rational comparand, or None if negative."
-    if other < 0:
-        return None
-    return other * other
 
 
 class ExactSqrt:
@@ -226,16 +205,6 @@ class ExactSqrt:
         return ExactSqrt(self.square * other * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ExactSqrt):
-            if not other.square:
-                raise ZeroDivisionError
-            return ExactSqrt(self.square / other.square)
-        other = _frac(other)
-        if other <= 0:
-            raise ValueError("can only divide by a positive rational")
-        return ExactSqrt(self.square / (other * other))
 
     def __repr__(self):
         return "ExactSqrt(%s)" % (self.square,)

@@ -4,14 +4,19 @@ Classes are whitespace-separated integer lines "a1 b1 ... ag bg";
 matrices are row-major integer grids; sparse vectors are one support
 point per line with rational real/imaginary parts "num/den"; relations,
 cocycles and solve reports are JSON.  All emitters sort support points
-so output is byte-stable.  JSON decoders take integers and booleans only
-as JSON integers and booleans, and rationals only as JSON strings: a
-float, a string or a bool where an integer belongs, a non-bool where a
-flag belongs, or a number where a rational string belongs is a ValueError
-that names the field, never a silent coercion.
+so output is byte-stable.  A rational is written "n" or "n/d" with
+decimal digits, an optional sign on n and d > 0; exponents, decimal
+points and spaces are refused, so parsing costs no more than the input
+is long.  JSON decoders take integers and booleans only as JSON integers
+and booleans, rationals only as JSON strings, and objects and arrays
+only where the format has them: a float, a string or a bool where an
+integer belongs, a non-bool where a flag belongs, a number where a
+rational string belongs or a list where an object belongs is a
+ValueError that names the field, never a silent coercion or a crash.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .cohomology import Cocycle, GeneratorSet, SolveReport
@@ -25,11 +30,20 @@ def format_fraction(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_fraction(s):
-    try:
-        return Fraction(str(s).strip())
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (s,)) from None
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_fraction(s, field="rational"):
+    if type(s) is not str:
+        raise _bad_json(field, "string", s)
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError("%s must be a rational 'n' or 'n/d', got %r" % (field, s))
+    num, den = match.groups()
+    den = int(den) if den else 1
+    if not den:
+        raise ValueError("zero denominator in %r for %s" % (s, field))
+    return Fraction(int(num), den)
 
 
 def format_class(m):
@@ -65,8 +79,22 @@ def _json_bool(x, field):
     return x
 
 
+def _json_object(x, field):
+    if type(x) is not dict:
+        raise _bad_json(field, "object", x)
+    return x
+
+
+def _json_array(x, field, length=None):
+    if type(x) is not list:
+        raise _bad_json(field, "array", x)
+    if length is not None and len(x) != length:
+        raise ValueError("%s must have %d entries, got %d" % (field, length, len(x)))
+    return x
+
+
 def class_from_json(obj, genus=None, field="'class'"):
-    coords = tuple(obj)
+    coords = tuple(_json_array(obj, field))
     for a in coords:
         if type(a) is not int:
             raise _bad_json("coordinate of " + field, "integer", a)
@@ -82,8 +110,11 @@ def matrix_to_json(M):
 def matrix_from_json(rows):
     return SymplecticMatrix(
         tuple(
-            tuple(_json_int(a, "matrix entry (%d, %d)" % (i, j)) for j, a in enumerate(row))
-            for i, row in enumerate(rows)
+            tuple(
+                _json_int(a, "matrix entry (%d, %d)" % (i, j))
+                for j, a in enumerate(_json_array(row, "matrix row %d" % i))
+            )
+            for i, row in enumerate(_json_array(rows, "matrix"))
         )
     )
 
@@ -93,10 +124,8 @@ def sqrt_to_json(x):
 
 
 def sqrt_from_json(obj, field="'square'"):
-    square = obj["square"]
-    if type(square) is not str:
-        raise _bad_json(field, "string", square)
-    return ExactSqrt(parse_fraction(square))
+    square = _json_object(obj, "the object holding " + field)["square"]
+    return ExactSqrt(parse_fraction(square, field))
 
 
 def _sorted_items(v):
@@ -125,7 +154,10 @@ def parse_sparse_lines(text, genus=None, full=False):
         if genus is None:
             genus = len(coords) // 2
         m = HomologyClass(coords)
-        val = GaussianRational(parse_fraction(toks[-2]), parse_fraction(toks[-1]))
+        at = " on line %d" % lineno
+        val = GaussianRational(
+            parse_fraction(toks[-2], "'re'" + at), parse_fraction(toks[-1], "'im'" + at)
+        )
         entries.append((m, val))
     if genus is None:
         raise ValueError("empty sparse vector file needs an explicit genus")
@@ -147,18 +179,16 @@ def sparse_to_json(v):
     }
 
 
-def sparse_from_json(obj):
+def sparse_from_json(obj, field="sparse vector"):
+    obj = _json_object(obj, field)
     genus = _json_int(obj["genus"], "'genus'")
     full = _json_bool(obj.get("full", False), "'full'")
     entries = []
-    for entry in obj.get("coefficients", ()):
-        m = class_from_json(entry["class"], genus)
-        re, im = entry["re"], entry["im"]
-        if type(re) is not str or type(im) is not str:
-            part = "re" if type(re) is not str else "im"
-            at = "'%s' of the coefficient at %s" % (part, m)
-            raise _bad_json(at, "string", entry[part])
-        entries.append((m, GaussianRational(parse_fraction(re), parse_fraction(im))))
+    for entry in _json_array(obj.get("coefficients", []), "'coefficients'"):
+        m = class_from_json(_json_object(entry, "coefficient")["class"], genus)
+        at = " of the coefficient at %s" % m
+        real = parse_fraction(entry["re"], "'re'" + at)
+        entries.append((m, GaussianRational(real, parse_fraction(entry["im"], "'im'" + at))))
     return SparseVector(genus, entries, full=full)
 
 
@@ -167,7 +197,7 @@ def curve_to_json(c):
 
 
 def curve_from_json(obj, genus=None):
-    cid = str(obj["id"])
+    cid = str(_json_object(obj, "curve")["id"])
     return Curve(
         id=cid,
         cls=class_from_json(obj["cls"], genus, "'cls' of curve %r" % cid),
@@ -183,7 +213,8 @@ def word_to_json(w):
 
 def word_from_json(obj, field="'word'"):
     letters = []
-    for cid, e in obj:
+    for letter in _json_array(obj, field):
+        cid, e = _json_array(letter, "letter of " + field, 2)
         if type(e) is not int:
             raise _bad_json("exponent of %r in %s" % (str(cid), field), "integer", e)
         letters.append((str(cid), e))
@@ -201,18 +232,24 @@ def relation_to_json(rel):
 
 
 def relation_from_json(obj):
+    _json_object(obj, "relation")
     intersections = []
-    for a, b, n in obj.get("intersections", ()):
+    for entry in _json_array(obj.get("intersections", []), "'intersections'"):
+        a, b, n = _json_array(entry, "entry of 'intersections'", 3)
         if type(n) is not int:
             raise _bad_json("intersection number of %r and %r" % (a, b), "integer", n)
         intersections.append((str(a), str(b), n))
     return RelationInstance(
         name=str(obj["name"]),
-        curves=tuple(curve_from_json(c) for c in obj["curves"]),
+        curves=tuple(curve_from_json(c) for c in _json_array(obj["curves"], "'curves'")),
         lhs=word_from_json(obj["lhs"], "'lhs'"),
         rhs=word_from_json(obj["rhs"], "'rhs'"),
         intersections=tuple(intersections),
     )
+
+
+def relations_from_json(obj):
+    return [relation_from_json(rel) for rel in _json_array(obj, "relation file")]
 
 
 def cocycle_to_json(u):
@@ -224,9 +261,13 @@ def cocycle_to_json(u):
 
 
 def cocycle_from_json(obj):
-    genus = _json_int(obj["genus"], "'genus'")
-    gens = GeneratorSet(curve_from_json(c, genus) for c in obj["generators"])
-    values = {cid: sparse_from_json(v) for cid, v in obj["values"].items()}
+    genus = _json_int(_json_object(obj, "cocycle")["genus"], "'genus'")
+    generators = _json_array(obj["generators"], "'generators'")
+    gens = GeneratorSet(curve_from_json(c, genus) for c in generators)
+    values = {
+        cid: sparse_from_json(v, "value of %r" % cid)
+        for cid, v in _json_object(obj["values"], "'values'").items()
+    }
     return Cocycle(gens, values)
 
 
@@ -243,14 +284,15 @@ def report_to_json(rep):
 
 
 def report_from_json(obj):
+    _json_object(obj, "solve report")
     decay = []
-    for e in obj.get("decay", ()):
-        k = _json_int(e["k"], "'k' of a decay entry")
+    for e in _json_array(obj.get("decay", []), "'decay'"):
+        k = _json_int(_json_object(e, "decay entry")["k"], "'k' of a decay entry")
         at = " of the decay entry with k = %d" % k
         fk = sqrt_from_json(e["F"], "'square' of 'F'" + at)
         decay.append((k, fk, sqrt_from_json(e["G"], "'square' of 'G'" + at)))
     return SolveReport(
-        f=sparse_from_json(obj["f"]),
+        f=sparse_from_json(obj["f"], "'f'"),
         residual=sqrt_from_json(obj["residual"], "'square' of the residual"),
         decay=tuple(decay),
     )

@@ -3,15 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import (
     Cocycle,
+    Curve,
     ExactSqrt,
     GaussianRational,
     GeneratorSet,
     HomologyClass,
     SparseVector,
     builtin_catalog,
+    c_pairing,
     coboundary,
     x_basis,
     y_basis,
@@ -19,7 +22,7 @@ from twistlab import (
 from twistlab import serialize as ser
 from twistlab.cli import main
 
-from helpers import rand_sparse
+from helpers import rand_scalar, rand_sparse
 
 G = 3
 
@@ -58,10 +61,28 @@ def test_removed_options_are_usage_errors(capsys):
     for argv in (
         ["verify-relations", "--tolerance", "-5"],
         ["verify-relations", "--seed", "3"],
+        # each subcommand takes only the options it reads
+        ["verify-relations", "--format", "json"],
+        ["solve", "--format", "csv"],
+        ["orbit", "1 0 0 0 0 0", "--in", "/nonexistent"],
+        ["check-cocycle", "--genus", "3"],
+        ["check-cocycle", "--format", "json"],
+        ["decay-report", "--genus", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+
+def test_verify_relations_refuses_a_relation_of_another_genus(tmp_path, capsys):
+    catalog = tmp_path / "g4.json"
+    assert run(["verify-relations", "--genus", "4", "--dump-catalog", "--out", str(catalog)]) == 0
+    first = json.loads(catalog.read_text())[0]["name"]
+    assert run(["verify-relations", "--in", str(catalog)]) == 2
+    assert capsys.readouterr().err == "error: relation %r is not of genus 3\n" % first
+    out = tmp_path / "report.json"
+    assert run(["verify-relations", "--genus", "4", "--in", str(catalog), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["genus"] == 4
 
 
 def test_verify_relations_dump_roundtrip(tmp_path, capsys):
@@ -142,6 +163,16 @@ def test_solve_round_trip(tmp_path, capsys):
     assert all(entry["passed"] for entry in report["smoothness"])
 
 
+def test_solve_genus_must_match_the_file(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=614)
+    infile = _write(tmp_path / "cocycle.json", ser.cocycle_to_json(u))
+    assert run(["solve", "--genus", "4", "--in", infile]) == 2
+    assert capsys.readouterr().err == "error: --genus 4 but the cocycle has genus 3\n"
+    assert run(["solve", "--genus", "2", "--in", infile]) == 2
+    assert capsys.readouterr().err == "error: genus < 3\n"
+    assert run(["solve", "--genus", "3", "--in", infile]) == 0
+
+
 def test_solve_relation_rejection(tmp_path, capsys):
     _, u, gens = _fixture_cocycle(seed=602)
     values = dict(u.values)
@@ -209,6 +240,39 @@ def test_check_cocycle_zero_values(tmp_path, capsys):
     assert report["all_zero"]
 
 
+def test_check_cocycle_pairings_match_c_pairing(tmp_path, capsys):
+    """g = 4 with three extra generators, one of them homologous to x1 up
+    to sign: every other pair is reported with the value of c_pairing."""
+    g = 4
+    rng = random.Random(615)
+    extra = (
+        Curve("w", -x_basis(g, 1)),
+        Curve("z1", x_basis(g, 1) + y_basis(g, 2)),
+        Curve("z2", y_basis(g, 3) - x_basis(g, 4)),
+    )
+    gens = GeneratorSet.symplectic_basis(g, extra=extra)
+    # one shared support, so that projections overlap and pairings are nonzero
+    pool = list(rand_sparse(rng, g, 16, coord_bound=1).support)
+    u = Cocycle(
+        gens,
+        {cid: SparseVector(g, [(m, rand_scalar(rng)) for m in pool]) for cid in gens.ids()},
+    )
+    infile = _write(tmp_path / "cocycle.json", ser.cocycle_to_json(u))
+    out = tmp_path / "check.json"
+    assert run(["check-cocycle", "--in", infile, "--out", str(out)]) == 1
+    got = {(p["a"], p["b"]): (p["re"], p["im"]) for p in json.loads(out.read_text())["pairings"]}
+    curves = list(gens)
+    want = {}
+    for i, a in enumerate(curves):
+        for b in curves[i + 1 :]:
+            if {a.id, b.id} != {"x1", "w"}:
+                val = c_pairing(u, a, b)
+                want[a.id, b.id] = (ser.format_fraction(val.re), ser.format_fraction(val.im))
+    assert list(got) == list(want) and got == want
+    assert ("x1", "w") not in got
+    assert sum(v != ("0/1", "0/1") for v in got.values()) > len(got) // 2
+
+
 def test_check_cocycle_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
@@ -238,6 +302,14 @@ def test_decay_report_text_and_json(tmp_path, capsys):
 
 def test_decay_report_missing_input(capsys):
     assert run(["decay-report"]) == 2
+
+
+def test_decay_report_rejects_a_negative_kmax(tmp_path, capsys):
+    text = tmp_path / "vec.txt"
+    text.write_text("0 0 1 0 0 0  1/2  0/1\n")
+    assert run(["decay-report", "--in", str(text), "--kmax", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: kmax must be nonnegative\n")
+    assert run(["decay-report", "--in", str(text), "--kmax", "0"]) == 0
 
 
 def test_reports_byte_stable(tmp_path, capsys):
@@ -378,3 +450,90 @@ def test_perturbation_residual_values_and_refusal(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "refused: nonzero residual %s on relation 'commuting-x1-x2'\n" % ExactSqrt(2 * d2)
         )
+
+
+@pytest.mark.parametrize("bad", ["1e5", "0.5"])
+def test_a_rational_outside_the_grammar_is_refused(tmp_path, capsys, bad):
+    _, u, _ = _fixture_cocycle(seed=616)
+    obj = ser.cocycle_to_json(u)
+    entry = obj["values"]["x2"]["coefficients"][0]
+    entry["re"] = bad
+    infile = _write(tmp_path / "bad.json", obj)
+    point = " ".join(str(a) for a in entry["class"])
+    field = "'re' of the coefficient at %s must be a rational 'n' or 'n/d', got %r" % (point, bad)
+    _refused(capsys, ["check-cocycle", "--in", infile], field)
+    text = tmp_path / "bad.txt"
+    text.write_text("0 0 1 0 0 0  1/2  0/1\n1 0 0 0 0 0  0/1  %s\n" % bad)
+    field = "'im' on line 2 must be a rational 'n' or 'n/d', got %r" % bad
+    _refused(capsys, ["decay-report", "--in", str(text)], field)
+
+
+def test_a_non_object_node_is_refused(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=617)
+    obj = ser.cocycle_to_json(u)
+    obj["values"] = []
+    infile = _write(tmp_path / "bad.json", obj)
+    for command in ("check-cocycle", "solve"):
+        _refused(capsys, [command, "--in", infile], "'values' must be a JSON object, got []")
+    rels = _write(tmp_path / "rels.json", [[]])
+    _refused(capsys, ["verify-relations", "--in", rels], "relation must be a JSON object, got []")
+
+
+# Any one node of a small valid file, replaced by a value of another JSON
+# type, is refused or checked: main returns 0, 1 or 2 and never raises.
+
+_JSON_KINDS = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-3, 3),
+    float: st.floats(-4, 4, allow_nan=False),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(-2, 2), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+}
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def _small_cocycle_file():
+    gens = GeneratorSet.symplectic_basis(G, extra=(Curve("z", x_basis(G, 1) + y_basis(G, 2)),))
+    return ser.cocycle_to_json(coboundary(rand_sparse(random.Random(618), G, 2), gens))
+
+
+_FILES = [
+    (_small_cocycle_file(), (["check-cocycle"], ["solve", "--genus", "3"])),
+    ([ser.relation_to_json(r) for r in builtin_catalog(G)[:3]], (["verify-relations"],)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_node_of_another_type_never_escapes_main(tmp_path_factory, data):
+    good, commands = data.draw(st.sampled_from(_FILES))
+    path = data.draw(st.sampled_from(list(_paths(good))))
+    node = good
+    for key in path:
+        node = node[key]
+    kind = data.draw(st.sampled_from([k for k in _JSON_KINDS if type(node) is not k]))
+    bad = _replaced(good, path, data.draw(_JSON_KINDS[kind]))
+    infile = tmp_path_factory.getbasetemp() / "node.json"
+    infile.write_text(json.dumps(bad))
+    outfile = str(tmp_path_factory.getbasetemp() / "node.out")
+    for command in commands:
+        assert main(command + ["--in", str(infile), "--out", outfile]) in (0, 1, 2)

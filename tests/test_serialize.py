@@ -45,6 +45,30 @@ def test_fraction_strings():
     assert ser.format_fraction(Fraction(-3, 4)) == "-3/4"
     assert ser.parse_fraction("-3/4") == Fraction(-3, 4)
     assert ser.parse_fraction("5") == 5
+    assert ser.parse_fraction("+2/6") == Fraction(1, 3)
+    assert ser.parse_fraction("-007/10") == Fraction(-7, 10)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e5", "0.5", "1e400", " 1/2", "1 / 2", "1/-2", "1_000", "-", "1/", "\u0663", ""]
+)
+def test_fraction_strings_outside_the_grammar_are_refused(text):
+    with pytest.raises(ValueError, match=r"'re' must be a rational 'n' or 'n/d'"):
+        ser.parse_fraction(text, "'re'")
+
+
+def test_json_decoders_refuse_a_node_of_the_wrong_type():
+    with pytest.raises(ValueError, match="relation must be a JSON object, got \\[\\]"):
+        ser.relation_from_json([])
+    with pytest.raises(ValueError, match="'values' must be a JSON object, got \\[\\]"):
+        gens = [{"id": "x1", "cls": [1, 0, 0, 0, 0, 0]}]
+        ser.cocycle_from_json({"genus": 3, "generators": gens, "values": []})
+    with pytest.raises(ValueError, match="'coefficients' must be a JSON array"):
+        ser.sparse_from_json({"genus": 3, "coefficients": {"class": [1, 0, 0, 0, 0, 0]}})
+    with pytest.raises(ValueError, match="letter of 'lhs' must have 2 entries, got 3"):
+        ser.word_from_json([["a", 1, 2]], "'lhs'")
+    with pytest.raises(ValueError, match="matrix row 1 must be a JSON array"):
+        ser.matrix_from_json([[1, 0], "01"])
 
 
 def test_sparse_lines_roundtrip():
