@@ -14,9 +14,8 @@ from twistlab import (
     GeneratorSet,
     NonCocycleError,
     SparseVector,
-    builtin_catalog,
+    applicable_relations,
     coboundary,
-    matches_generators,
     max_relation_residual,
     s_vector,
     smoothness_report,
@@ -47,7 +46,7 @@ def random_vector(size):
 
 f = random_vector(25)
 u = coboundary(f, gens)
-catalog = [r for r in builtin_catalog(g) if matches_generators(r, gens)]
+catalog = applicable_relations(gens)
 
 print("== a coboundary is a cocycle ==")
 print("relation residual over %d instances:" % len(catalog), max_relation_residual(u, catalog))

@@ -61,6 +61,7 @@ from .cohomology import (
     NonCocycleError,
     SolveReport,
     SmoothnessCheck,
+    applicable_relations,
     c_pairing,
     coboundary,
     expansion_terms,

@@ -15,7 +15,7 @@ import sys
 from . import serialize
 from .cohomology import (
     NonCocycleError,
-    matches_generators,
+    applicable_relations,
     relation_residual,
     s_vector,
     smoothness_report,
@@ -47,13 +47,21 @@ def _read_infile(args):
         return fh.read()
 
 
+def _decode_json(args, text):
+    "The JSON document text of --in; nesting too deep to decode is a ValueError."
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply to decode" % args.infile) from None
+
+
 def _load_cocycle(args):
-    return serialize.cocycle_from_json(json.loads(_read_infile(args)))
+    return serialize.cocycle_from_json(_decode_json(args, _read_infile(args)))
 
 
 def cmd_verify_relations(args):
     if args.infile:
-        relations = serialize.relations_from_json(json.loads(_read_infile(args)))
+        relations = serialize.relations_from_json(_decode_json(args, _read_infile(args)))
         for rel in relations:
             if any(c.cls.genus != args.genus for c in rel.curves):
                 raise ValueError("relation %r is not of genus %d" % (rel.name, args.genus))
@@ -134,10 +142,9 @@ def cmd_orbit(args):
 
 def cmd_check_cocycle(args):
     u = _load_cocycle(args)
-    relations = [r for r in builtin_catalog(u.genus) if matches_generators(r, u.gens)]
     rel_report = []
     clean = True
-    for rel in relations:
+    for rel in applicable_relations(u.gens):
         res = relation_residual(u, rel)
         clean = clean and not res
         rel_report.append({"name": rel.name, "residual": serialize.sqrt_to_json(res)})
@@ -177,7 +184,7 @@ def cmd_decay_report(args):
         raise ValueError("kmax must be nonnegative")
     text = _read_infile(args)
     if text.lstrip().startswith("{"):
-        v = serialize.sparse_from_json(json.loads(text))
+        v = serialize.sparse_from_json(_decode_json(args, text))
     else:
         v = serialize.parse_sparse_lines(text)
     orders = range(0, args.kmax + 1)

@@ -37,7 +37,7 @@ from .lattice import (
     norm1,
     zero_class,
 )
-from .words import Curve, TwistWord, builtin_catalog, basis_curves
+from .words import Curve, builtin_catalog, basis_curves
 
 
 class NonCocycleError(ValueError):
@@ -53,6 +53,7 @@ class GeneratorSet:
             raise ValueError("generator set cannot be empty")
         genus = curves[0].cls.genus
         table = {}
+        by_class = {}
         for c in curves:
             if not isinstance(c, Curve):
                 raise TypeError("generators must be Curve values")
@@ -63,7 +64,9 @@ class GeneratorSet:
             if c.id in table:
                 raise ValueError("duplicate generator id %r" % c.id)
             table[c.id] = c
+            by_class.setdefault(c.cls, c)
         self.curves = table
+        self.by_class = by_class  # class -> first generator carrying it
         self.genus = genus
 
     @classmethod
@@ -77,9 +80,6 @@ class GeneratorSet:
     def __len__(self):
         return len(self.curves)
 
-    def __contains__(self, cid):
-        return cid in self.curves
-
     def get(self, cid):
         return self.curves.get(cid)
 
@@ -88,17 +88,11 @@ class GeneratorSet:
 
     def find_by_class(self, cls):
         "First generator carrying the given class, or None."
-        for c in self.curves.values():
-            if c.cls == cls:
-                return c
-        return None
+        return self.by_class.get(cls)
 
     def has_symplectic_basis(self):
         g = self.genus
-        return all(
-            self.find_by_class(basis_curve_class(g, idx)) is not None
-            for idx in range(2 * g)
-        )
+        return all(basis_curve_class(g, idx) in self.by_class for idx in range(2 * g))
 
 
 class Cocycle:
@@ -143,25 +137,32 @@ def coboundary(v, gens):
     return Cocycle(gens, values)
 
 
-def expansion_terms(u, word):
-    """Per-letter terms of the word extension; their sum is extend(u, word).
+def _walk(u, word, gen_of):
+    """(sign, vector) per single step of the word, whose signed sum is
+    extend(u, word); gen_of maps each letter to its generator.
 
-    The term for a letter at prefix p is p u(letter), with inverse letters
-    expanded through u(t^-1) = -t^-1 u(t).  The prefix is kept as its
-    (class, sign) steps and applied innermost step first.
+    A step t at prefix p gives (1, p u(t)), a step t^-1 gives
+    (-1, p t^-1 u(t)), as u(t^-1) = -t^-1 u(t).  The prefix is kept as
+    its (class, sign) steps and applied innermost step first.
     """
     prefix = []
-    terms = []
     for cid, s in word.singles():
-        curve = u.gens.get(cid)
-        if curve is None:
-            raise ValueError("unknown generator id %r" % cid)
-        val = u.value(cid) if s > 0 else -twist(curve.cls, -1, u.value(cid))
+        gen = gen_of[cid]
+        val = u.value(gen.id)
+        if s < 0:
+            val = twist(gen.cls, -1, val)
         for cls, t in reversed(prefix):
             val = twist(cls, t, val)
-        terms.append(val)
-        prefix.append((curve.cls, s))
-    return terms
+        yield s, val
+        prefix.append((gen.cls, s))
+
+
+def expansion_terms(u, word):
+    "Per-letter terms of the word extension; their sum is extend(u, word)."
+    for cid, _ in word.letters:
+        if u.gens.get(cid) is None:
+            raise ValueError("unknown generator id %r" % cid)
+    return [val if s > 0 else -val for s, val in _walk(u, word, u.gens.curves)]
 
 
 def extend(u, word):
@@ -172,32 +173,29 @@ def extend(u, word):
     return total
 
 
-def _translate_word(word, rel_table, gens):
-    letters = []
-    for cid, e in word.letters:
-        if cid not in rel_table:
-            raise ValueError("relation references unknown curve %r" % cid)
-        gen = gens.find_by_class(rel_table[cid].cls)
-        if gen is None:
-            raise ValueError(
-                "no generator with class %s for relation curve %r"
-                % (rel_table[cid].cls, cid)
-            )
-        letters.append((gen.id, e))
-    return TwistWord(tuple(letters))
-
-
 def matches_generators(rel, gens):
     "True iff every relation curve class is carried by some generator."
-    return all(gens.find_by_class(c.cls) is not None for c in rel.curves)
+    return all(c.cls in gens.by_class for c in rel.curves)
+
+
+def applicable_relations(gens):
+    "The builtin relation instances whose curve classes all resolve in gens."
+    return [rel for rel in builtin_catalog(gens.genus) if matches_generators(rel, gens)]
 
 
 def relation_residual(u, rel):
     "Norm of extend(lhs) - extend(rhs); zero for genuine cocycles."
-    table = rel.table
-    lhs = expansion_terms(u, _translate_word(rel.lhs, table, u.gens))
-    rhs = expansion_terms(u, _translate_word(rel.rhs, table, u.gens))
-    return ExactSqrt(signed_norm_sq([(1, t) for t in lhs] + [(-1, t) for t in rhs]))
+    # each relation curve resolves once, by class, to its first generator
+    gen_of = {c.id: u.gens.find_by_class(c.cls) for c in rel.curves}
+    for cid, _ in rel.lhs.letters + rel.rhs.letters:
+        if cid not in gen_of:
+            raise ValueError("relation references unknown curve %r" % cid)
+        if gen_of[cid] is None:
+            cls = rel.table[cid].cls
+            raise ValueError("no generator with class %s for relation curve %r" % (cls, cid))
+    terms = list(_walk(u, rel.lhs, gen_of))
+    terms += [(-s, val) for s, val in _walk(u, rel.rhs, gen_of)]
+    return ExactSqrt(signed_norm_sq(terms))
 
 
 def max_relation_residual(u, relations):
@@ -353,7 +351,7 @@ def solve_coboundary(u, relations=None):
         raise ValueError("solver needs all 2g basis twists among the generators")
     g = u.genus
     if relations is None:
-        relations = [r for r in builtin_catalog(g) if matches_generators(r, u.gens)]
+        relations = applicable_relations(u.gens)
     for rel in relations:
         r = relation_residual(u, rel)
         if r:

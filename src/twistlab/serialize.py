@@ -7,12 +7,14 @@ cocycles and solve reports are JSON.  All emitters sort support points
 so output is byte-stable.  A rational is written "n" or "n/d" with
 decimal digits, an optional sign on n and d > 0; exponents, decimal
 points and spaces are refused, so parsing costs no more than the input
-is long.  JSON decoders take integers and booleans only as JSON integers
-and booleans, rationals only as JSON strings, and objects and arrays
-only where the format has them: a float, a string or a bool where an
-integer belongs, a non-bool where a flag belongs, a number where a
-rational string belongs or a list where an object belongs is a
-ValueError that names the field, never a silent coercion or a crash.
+is long.  A text coordinate is "n" in the same grammar: ASCII digits
+only, no "_" separators.  JSON decoders take integers and booleans only
+as JSON integers and booleans, rationals, names and curve ids only as
+JSON strings, and objects and arrays only where the format has them: a
+float, a string or a bool where an integer belongs, a non-bool where a
+flag belongs, a number where a string belongs or a list where an object
+belongs is a ValueError that names the field, never a silent coercion
+or a crash.
 """
 
 import json
@@ -30,6 +32,7 @@ def format_fraction(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -50,8 +53,17 @@ def format_class(m):
     return " ".join(str(a) for a in m.coords)
 
 
+def _parse_coords(toks, where):
+    # int() alone would also take "1_0" and non-ASCII digits
+    for tok in toks:
+        if _INTEGER.fullmatch(tok) is None:
+            raise ValueError("%s: coordinate %r must be an integer" % (where, tok))
+    return tuple(int(tok) for tok in toks)
+
+
 def parse_class(text, genus=None):
-    coords = tuple(int(tok) for tok in str(text).split())
+    text = str(text)
+    coords = _parse_coords(text.split(), "class %r" % text)
     if genus is not None and len(coords) != 2 * genus:
         raise ValueError("expected %d coordinates, got %d" % (2 * genus, len(coords)))
     return HomologyClass(coords)
@@ -62,7 +74,10 @@ def class_to_json(m):
 
 
 def _bad_json(field, kind, x):
-    got = json.dumps(x, default=repr)
+    try:
+        got = json.dumps(x, default=repr)
+    except RecursionError:
+        got = "a value nested too deeply to print"
     return ValueError("%s must be a JSON %s, got %s" % (field, kind, got))
 
 
@@ -70,6 +85,12 @@ def _json_int(x, field):
     # type(), not isinstance(): a JSON true/false decodes to a bool, an int subclass
     if type(x) is not int:
         raise _bad_json(field, "integer", x)
+    return x
+
+
+def _json_str(x, field):
+    if type(x) is not str:
+        raise _bad_json(field, "string", x)
     return x
 
 
@@ -150,7 +171,7 @@ def parse_sparse_lines(text, genus=None, full=False):
         toks = line.split()
         if len(toks) < 4 or len(toks) % 2:
             raise ValueError("line %d: expected 'a1 b1 ... ag bg re im'" % lineno)
-        coords = tuple(int(t) for t in toks[:-2])
+        coords = _parse_coords(toks[:-2], "line %d" % lineno)
         if genus is None:
             genus = len(coords) // 2
         m = HomologyClass(coords)
@@ -186,9 +207,15 @@ def sparse_from_json(obj, field="sparse vector"):
     entries = []
     for entry in _json_array(obj.get("coefficients", []), "'coefficients'"):
         m = class_from_json(_json_object(entry, "coefficient")["class"], genus)
-        at = " of the coefficient at %s" % m
-        real = parse_fraction(entry["re"], "'re'" + at)
-        entries.append((m, GaussianRational(real, parse_fraction(entry["im"], "'im'" + at))))
+        try:
+            real = parse_fraction(entry["re"])
+            imag = parse_fraction(entry["im"])
+        except ValueError:
+            # the message names the point; formatting it costs more than parsing
+            at = " of the coefficient at %s" % m
+            real = parse_fraction(entry["re"], "'re'" + at)
+            imag = parse_fraction(entry["im"], "'im'" + at)
+        entries.append((m, GaussianRational(real, imag)))
     return SparseVector(genus, entries, full=full)
 
 
@@ -197,7 +224,7 @@ def curve_to_json(c):
 
 
 def curve_from_json(obj, genus=None):
-    cid = str(_json_object(obj, "curve")["id"])
+    cid = _json_str(_json_object(obj, "curve")["id"], "'id' of a curve")
     return Curve(
         id=cid,
         cls=class_from_json(obj["cls"], genus, "'cls' of curve %r" % cid),
@@ -215,9 +242,10 @@ def word_from_json(obj, field="'word'"):
     letters = []
     for letter in _json_array(obj, field):
         cid, e = _json_array(letter, "letter of " + field, 2)
+        _json_str(cid, "curve id of a letter of " + field)
         if type(e) is not int:
-            raise _bad_json("exponent of %r in %s" % (str(cid), field), "integer", e)
-        letters.append((str(cid), e))
+            raise _bad_json("exponent of %r in %s" % (cid, field), "integer", e)
+        letters.append((cid, e))
     return TwistWord(tuple(letters))
 
 
@@ -236,11 +264,13 @@ def relation_from_json(obj):
     intersections = []
     for entry in _json_array(obj.get("intersections", []), "'intersections'"):
         a, b, n = _json_array(entry, "entry of 'intersections'", 3)
+        _json_str(a, "first curve id of an entry of 'intersections'")
+        _json_str(b, "second curve id of an entry of 'intersections'")
         if type(n) is not int:
             raise _bad_json("intersection number of %r and %r" % (a, b), "integer", n)
-        intersections.append((str(a), str(b), n))
+        intersections.append((a, b, n))
     return RelationInstance(
-        name=str(obj["name"]),
+        name=_json_str(obj["name"], "'name' of a relation"),
         curves=tuple(curve_from_json(c) for c in _json_array(obj["curves"], "'curves'")),
         lhs=word_from_json(obj["lhs"], "'lhs'"),
         rhs=word_from_json(obj["rhs"], "'rhs'"),

@@ -7,6 +7,7 @@ matrix equality.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, isqrt
 
 from .lattice import (
@@ -16,6 +17,7 @@ from .lattice import (
     intersection,
     iter_classes,
     norm1,
+    transvect,
     twist_matrix,
     x_basis,
     y_basis,
@@ -213,141 +215,68 @@ def find_twist_pair(M, max_norm):
     return None
 
 
-def _pairs(ids):
-    out = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            out.append((a, b))
-    return out
-
-
 def builtin_catalog(g):
     """Standard relation instances over the genus-g lattice.
 
     Contains commuting, braid, chain, lantern, bounding-pair and
-    conjugation instances; every one verifies exactly.
+    conjugation instances; every one verifies exactly.  Each row gives a
+    name, the curve classes by id in curve order, the two words as
+    letters, and the declared pairings, which check_metadata checks
+    against the classes.
     """
     if g < 3:
         raise ValueError("genus must be at least 3")
     x1, y1 = x_basis(g, 1), y_basis(g, 1)
     x2, y2 = x_basis(g, 2), y_basis(g, 2)
     x3 = x_basis(g, 3)
-    out = []
 
-    def commuting(name, ca, cb):
-        curves = (Curve("a", ca), Curve("b", cb))
-        out.append(
-            RelationInstance(
-                name=name,
-                curves=curves,
-                lhs=TwistWord.of(("a", 1), ("b", 1)),
-                rhs=TwistWord.of(("b", 1), ("a", 1)),
-                intersections=(("a", "b", 0),),
-            )
-        )
+    def rel(name, classes, lhs, rhs, pairings):
+        curves = tuple(Curve(cid, cls) for cid, cls in classes.items())
+        return RelationInstance(name, curves, TwistWord(lhs), TwistWord(rhs), pairings)
 
-    commuting("commuting-x1-x2", x1, x2)
-    commuting("commuting-x1-y2", x1, y2)
-
-    def braid(name, ca, cb):
-        curves = (Curve("a", ca), Curve("b", cb))
-        out.append(
-            RelationInstance(
-                name=name,
-                curves=curves,
-                lhs=TwistWord.of(("a", 1), ("b", 1), ("a", 1)),
-                rhs=TwistWord.of(("b", 1), ("a", 1), ("b", 1)),
-                intersections=(("a", "b", intersection(ca, cb)),),
-            )
-        )
-
-    braid("braid-x1-y1", x1, y1)
-    braid("braid-x2-y2", x2, y2)
-
-    # Chain on (x1, y1, x1+x2).  The boundary classes d = e = x2 were
-    # derived once by find_twist_pair against (T_a T_b T_c)^4 and are
-    # frozen here as regression data.
-    chain_curves = (
-        Curve("a", x1),
-        Curve("b", y1),
-        Curve("c", x1 + x2),
-        Curve("d", x2),
-        Curve("e", x2),
-    )
-    abc = TwistWord.of(("a", 1), ("b", 1), ("c", 1))
-    out.append(
-        RelationInstance(
-            name="chain-x1-y1-x1+x2",
-            curves=chain_curves,
-            lhs=abc ** 4,
-            rhs=TwistWord.of(("d", 1), ("e", 1)),
-            intersections=(
-                ("a", "b", 1),
-                ("b", "c", -1),
-                ("a", "c", 0),
-                ("d", "e", 0),
-                ("a", "d", 0),
-            ),
-        )
-    )
-
+    ab, ba = (("a", 1), ("b", 1)), (("b", 1), ("a", 1))
+    aba, bab = ab + (("a", 1),), ba + (("b", 1),)
+    c1c2 = (("c1", 1), ("c2", -1))
+    conjugate = (("phi", 1), ("alpha", 1), ("phi", -1)), (("phi_alpha", 1),)
     # Lantern with mutually disjoint classes and a0 = a1 + a2 + a3.
-    lantern_curves = (
-        Curve("a0", x1 + x2 + x3),
-        Curve("a1", x1),
-        Curve("a2", x2),
-        Curve("a3", x3),
-        Curve("a12", x1 + x2),
-        Curve("a13", x1 + x3),
-        Curve("a23", x2 + x3),
-    )
-    lantern_ids = tuple(c.id for c in lantern_curves)
-    out.append(
-        RelationInstance(
-            name="lantern-x1-x2-x3",
-            curves=lantern_curves,
-            lhs=TwistWord.of(("a0", 1), ("a1", 1), ("a2", 1), ("a3", 1)),
-            rhs=TwistWord.of(("a12", 1), ("a13", 1), ("a23", 1)),
-            intersections=tuple((a, b, 0) for a, b in _pairs(lantern_ids)),
-        )
-    )
-
-    def bounding_pair(name, cls):
-        curves = (Curve("c1", cls), Curve("c2", cls))
-        out.append(
-            RelationInstance(
-                name=name,
-                curves=curves,
-                lhs=TwistWord.of(("c1", 1), ("c2", -1)),
-                rhs=TwistWord(),
-                intersections=(("c1", "c2", 0),),
-            )
-        )
-
-    bounding_pair("bounding-pair-x1", x1)
-    bounding_pair("bounding-pair-y2", y2)
-
-    def conjugation(name, phi_cls, alpha_cls):
-        image = twist_matrix(phi_cls).apply(alpha_cls)
-        curves = (
-            Curve("phi", phi_cls),
-            Curve("alpha", alpha_cls),
-            Curve("phi_alpha", image),
-        )
-        out.append(
-            RelationInstance(
-                name=name,
-                curves=curves,
-                lhs=TwistWord.of(("phi", 1), ("alpha", 1), ("phi", -1)),
-                rhs=TwistWord.of(("phi_alpha", 1)),
-                intersections=(("phi", "alpha", intersection(phi_cls, alpha_cls)),),
-            )
-        )
-
-    conjugation("conjugation-x1-y1", x1, y1)
-    conjugation("conjugation-y2-x2", y2, x2)
-
-    return out
+    lantern = dict(a0=x1 + x2 + x3, a1=x1, a2=x2, a3=x3, a12=x1 + x2, a13=x1 + x3, a23=x2 + x3)
+    return [
+        rel("commuting-x1-x2", dict(a=x1, b=x2), ab, ba, (("a", "b", 0),)),
+        rel("commuting-x1-y2", dict(a=x1, b=y2), ab, ba, (("a", "b", 0),)),
+        rel("braid-x1-y1", dict(a=x1, b=y1), aba, bab, (("a", "b", 1),)),
+        rel("braid-x2-y2", dict(a=x2, b=y2), aba, bab, (("a", "b", 1),)),
+        # Chain on (x1, y1, x1+x2).  The boundary classes d = e = x2 were
+        # derived once by find_twist_pair against (T_a T_b T_c)^4 and are
+        # frozen here as regression data.
+        rel(
+            "chain-x1-y1-x1+x2",
+            dict(a=x1, b=y1, c=x1 + x2, d=x2, e=x2),
+            (("a", 1), ("b", 1), ("c", 1)) * 4,
+            (("d", 1), ("e", 1)),
+            (("a", "b", 1), ("b", "c", -1), ("a", "c", 0), ("d", "e", 0), ("a", "d", 0)),
+        ),
+        rel(
+            "lantern-x1-x2-x3",
+            lantern,
+            (("a0", 1), ("a1", 1), ("a2", 1), ("a3", 1)),
+            (("a12", 1), ("a13", 1), ("a23", 1)),
+            tuple((a, b, 0) for a, b in combinations(lantern, 2)),
+        ),
+        rel("bounding-pair-x1", dict(c1=x1, c2=x1), c1c2, (), (("c1", "c2", 0),)),
+        rel("bounding-pair-y2", dict(c1=y2, c2=y2), c1c2, (), (("c1", "c2", 0),)),
+        rel(
+            "conjugation-x1-y1",
+            dict(phi=x1, alpha=y1, phi_alpha=transvect(x1, 1, y1)),
+            *conjugate,
+            (("phi", "alpha", 1),),
+        ),
+        rel(
+            "conjugation-y2-x2",
+            dict(phi=y2, alpha=x2, phi_alpha=transvect(y2, 1, x2)),
+            *conjugate,
+            (("phi", "alpha", -1),),
+        ),
+    ]
 
 
 def basis_curves(g):

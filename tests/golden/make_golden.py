@@ -45,6 +45,10 @@ CASES = {
     "decay-report-json-g3": [
         "decay-report", "--in", "@vector-g3.json", "--kmax", "4", "--format", "json",
     ],
+    "verify-relations-g3": ["verify-relations", "--genus", "3"],
+    "verify-relations-g6": ["verify-relations", "--genus", "6"],
+    "dump-catalog-g3": ["verify-relations", "--dump-catalog", "--genus", "3"],
+    "dump-catalog-g6": ["verify-relations", "--dump-catalog", "--genus", "6"],
 }
 
 

@@ -479,6 +479,39 @@ def test_a_non_object_node_is_refused(tmp_path, capsys):
     _refused(capsys, ["verify-relations", "--in", rels], "relation must be a JSON object, got []")
 
 
+@pytest.mark.parametrize("command", ["check-cocycle", "solve", "verify-relations", "decay-report"])
+def test_json_nested_too_deeply_is_refused(tmp_path, capsys, command):
+    # decay-report reads a file as JSON only when it starts with "{"
+    opener = '{"a":' if command == "decay-report" else "["
+    infile = tmp_path / "deep.json"
+    infile.write_text(opener * 200000)
+    _refused(capsys, [command, "--in", str(infile)], "%s: JSON nested too deeply" % infile)
+
+
+def test_string_fields_must_be_json_strings(tmp_path, capsys):
+    rel = ser.relation_to_json(builtin_catalog(G)[0])
+    named = _write(tmp_path / "named.json", [dict(rel, name={"a": 1})])
+    field = "'name' of a relation must be a JSON string, got {\"a\": 1}"
+    _refused(capsys, ["verify-relations", "--in", named], field)
+    rel["curves"][0]["id"] = 7
+    numbered = _write(tmp_path / "numbered.json", [rel])
+    field = "'id' of a curve must be a JSON string, got 7"
+    _refused(capsys, ["verify-relations", "--in", numbered], field)
+    _, u, _ = _fixture_cocycle(seed=619)
+    obj = ser.cocycle_to_json(u)
+    obj["generators"][0]["id"] = 7
+    infile = _write(tmp_path / "cocycle.json", obj)
+    for command in ("check-cocycle", "solve"):
+        _refused(capsys, [command, "--in", infile], "'id' of a curve must be a JSON string, got 7")
+
+
+def test_text_integers_take_only_ascii_digits(tmp_path, capsys):
+    text = tmp_path / "vector.txt"
+    text.write_text("1_0 0 0 0 0 0  1 0\n")
+    _refused(capsys, ["decay-report", "--in", str(text)], "line 1: coordinate '1_0' must be")
+    _refused(capsys, ["orbit", "\u0663 0 0 0 0 0"], "coordinate '\u0663' must be an integer")
+
+
 # Any one node of a small valid file, replaced by a value of another JSON
 # type, is refused or checked: main returns 0, 1 or 2 and never raises.
 

@@ -11,6 +11,7 @@ from twistlab import (
     GaussianRational,
     GeneratorSet,
     NonCocycleError,
+    RelationInstance,
     SolveReport,
     SparseVector,
     TwistWord,
@@ -176,8 +177,6 @@ def test_relation_residual_perturbed_braid():
 
 
 def test_relation_residual_empty_relation():
-    from twistlab import RelationInstance
-
     gens = basis_gens()
     rng = random.Random(408)
     u = coboundary(rand_sparse(rng, G, 4), gens)
@@ -204,6 +203,30 @@ def test_relation_residual_resolves_by_class():
     u2 = coboundary(rand_sparse(rng, G, 4), plain)
     with pytest.raises(ValueError):
         relation_residual(u2, conj)
+
+
+def test_relation_and_word_resolution_errors_name_the_curve():
+    gens = basis_gens()
+    u = coboundary(rand_sparse(random.Random(410), G, 4), gens)
+    stray = RelationInstance(
+        name="stray-letter",
+        curves=(Curve("a", x_basis(G, 1)),),
+        lhs=TwistWord.of(("a", 1)),
+        rhs=TwistWord.of(("b", 1)),
+    )
+    with pytest.raises(ValueError, match="relation references unknown curve 'b'"):
+        relation_residual(u, stray)
+    unmatched = RelationInstance(
+        name="no-generator",
+        curves=(Curve("a", x_basis(G, 1)), Curve("d", x_basis(G, 1) + y_basis(G, 1))),
+        lhs=TwistWord.of(("a", 1), ("d", -1)),
+        rhs=TwistWord(),
+    )
+    missing = "no generator with class 1 1 0 0 0 0 for relation curve 'd'"
+    with pytest.raises(ValueError, match=missing):
+        relation_residual(u, unmatched)
+    with pytest.raises(ValueError, match="unknown generator id 'z'"):
+        expansion_terms(u, TwistWord.of(("x1", 1), ("z", -1)))
 
 
 def test_project_fixed():

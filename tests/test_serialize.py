@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,17 @@ def test_json_decoders_refuse_a_node_of_the_wrong_type():
         ser.word_from_json([["a", 1, 2]], "'lhs'")
     with pytest.raises(ValueError, match="matrix row 1 must be a JSON array"):
         ser.matrix_from_json([[1, 0], "01"])
+    with pytest.raises(ValueError, match="curve id of a letter of 'lhs' must be a JSON string"):
+        ser.word_from_json([[7, 1]], "'lhs'")
+    rel = ser.relation_to_json(builtin_catalog(G)[0])
+    rel["intersections"] = [["a", 7, 0]]
+    with pytest.raises(ValueError, match="second curve id of an entry of 'intersections'"):
+        ser.relation_from_json(rel)
+    deep = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    with pytest.raises(ValueError, match="'genus' must be a JSON integer, got a value nested"):
+        ser.cocycle_from_json({"genus": deep})
 
 
 def test_sparse_lines_roundtrip():
