@@ -38,6 +38,7 @@ from .words import (
     builtin_catalog,
     find_twist_pair,
     is_torelli,
+    matrix_residual,
     transvection_class,
     verify_relation,
     word_matrix,

@@ -23,7 +23,7 @@ from .cohomology import (
 )
 from .fourier import decay_constants, inner
 from .lattice import basis_curve_class, choose_increasing_twist, norm1, orbit_ray
-from .words import MetadataError, builtin_catalog, check_metadata, word_matrix
+from .words import MetadataError, builtin_catalog, matrix_residual
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -73,13 +73,7 @@ def cmd_verify_relations(args):
     instances = []
     failed = []
     for rel in relations:
-        lhs = word_matrix(rel.lhs, rel.curves)
-        rhs = word_matrix(rel.rhs, rel.curves)
-        residual = max(
-            (abs(a - b) for ra, rb in zip(lhs.rows, rhs.rows) for a, b in zip(ra, rb)),
-            default=0,
-        )
-        check_metadata(rel)
+        residual = matrix_residual(rel)
         if residual:
             failed.append(rel.name)
         instances.append(

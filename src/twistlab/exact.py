@@ -7,6 +7,7 @@ and compared that way.
 """
 
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt, sqrt
 
 
@@ -116,6 +117,7 @@ class GaussianRational:
         return "%s%+si" % (self.re, self.im)
 
 
+@total_ordering
 class ExactSqrt:
     """The nonnegative real sqrt(q) for an exact rational q >= 0.
 
@@ -170,24 +172,6 @@ class ExactSqrt:
         if c is None:
             return NotImplemented
         return c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
 
     def __hash__(self):
         f = self.as_fraction()

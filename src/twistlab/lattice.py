@@ -87,29 +87,26 @@ def zero_class(g):
 
 def x_basis(g, j):
     "The j-th a-type basis class (1-based)."
-    if not 1 <= j <= g:
-        raise ValueError("basis index out of range")
-    coords = [0] * (2 * g)
-    coords[2 * (j - 1)] = 1
-    return HomologyClass(coords)
+    return basis_curve_class(g, 2 * j - 2)
 
 
 def y_basis(g, j):
     "The j-th b-type basis class (1-based)."
-    if not 1 <= j <= g:
-        raise ValueError("basis index out of range")
-    coords = [0] * (2 * g)
-    coords[2 * (j - 1) + 1] = 1
-    return HomologyClass(coords)
+    return basis_curve_class(g, 2 * j - 1)
 
 
 def symplectic_basis(g):
     "All 2g basis classes in interleaved order (x1, y1, ..., xg, yg)."
-    out = []
-    for j in range(1, g + 1):
-        out.append(x_basis(g, j))
-        out.append(y_basis(g, j))
-    return tuple(out)
+    return tuple(basis_curve_class(g, i) for i in range(2 * g))
+
+
+def basis_curve_class(g, index):
+    "Interleaved basis curve by index 0..2g-1 (x1, y1, x2, y2, ...)."
+    if not 0 <= index < 2 * g:
+        raise ValueError("basis curve index out of range")
+    coords = [0] * (2 * g)
+    coords[index] = 1
+    return HomologyClass(coords)
 
 
 def basis_curve_name(index):
@@ -284,15 +281,6 @@ def choose_increasing_twist(m):
                 eps = 1
             return k ^ 1, eps
     raise ValueError("the zero class has no increasing twist ray")
-
-
-def basis_curve_class(g, index):
-    "Interleaved basis curve by index 0..2g-1 (x1, y1, x2, y2, ...)."
-    if not 0 <= index < 2 * g:
-        raise ValueError("basis curve index out of range")
-    coords = [0] * (2 * g)
-    coords[index] = 1
-    return HomologyClass(coords)
 
 
 def orbit_ray(c, sign, m, limit):

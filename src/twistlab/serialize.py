@@ -14,7 +14,7 @@ JSON strings, and objects and arrays only where the format has them: a
 float, a string or a bool where an integer belongs, a non-bool where a
 flag belongs, a number where a string belongs or a list where an object
 belongs is a ValueError that names the field, never a silent coercion
-or a crash.
+or a crash.  The error quotes the refused value, cut after 80 characters.
 """
 
 import json
@@ -38,7 +38,7 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_fraction(s, field="rational"):
     if type(s) is not str:
-        raise _bad_json(field, "string", s)
+        raise _bad_json(field, str, s)
     match = _RATIONAL.fullmatch(s)
     if match is None:
         raise ValueError("%s must be a rational 'n' or 'n/d', got %r" % (field, s))
@@ -73,52 +73,41 @@ def class_to_json(m):
     return list(m.coords)
 
 
+# type(), not isinstance(), picks the kind: a JSON true/false decodes to a
+# bool, an int subclass
+_JSON_KINDS = {int: "integer", str: "string", bool: "boolean", dict: "object", list: "array"}
+_ECHO_LIMIT = 80  # characters of a refused value quoted in its error
+
+
 def _bad_json(field, kind, x):
     try:
         got = json.dumps(x, default=repr)
     except RecursionError:
         got = "a value nested too deeply to print"
-    return ValueError("%s must be a JSON %s, got %s" % (field, kind, got))
+    if len(got) > _ECHO_LIMIT:
+        got = "%s... (%d characters)" % (got[:_ECHO_LIMIT], len(got))
+    return ValueError("%s must be a JSON %s, got %s" % (field, _JSON_KINDS[kind], got))
 
 
-def _json_int(x, field):
-    # type(), not isinstance(): a JSON true/false decodes to a bool, an int subclass
-    if type(x) is not int:
-        raise _bad_json(field, "integer", x)
+def _json(x, kind, field):
+    "x if it is a JSON node of the Python type kind, else a ValueError naming field."
+    if type(x) is not kind:
+        raise _bad_json(field, kind, x)
     return x
 
 
-def _json_str(x, field):
-    if type(x) is not str:
-        raise _bad_json(field, "string", x)
-    return x
-
-
-def _json_bool(x, field):
-    if type(x) is not bool:
-        raise _bad_json(field, "boolean", x)
-    return x
-
-
-def _json_object(x, field):
-    if type(x) is not dict:
-        raise _bad_json(field, "object", x)
-    return x
-
-
-def _json_array(x, field, length=None):
-    if type(x) is not list:
-        raise _bad_json(field, "array", x)
-    if length is not None and len(x) != length:
+def _json_tuple(x, length, field):
+    "x if it is a JSON array of length entries."
+    if len(_json(x, list, field)) != length:
         raise ValueError("%s must have %d entries, got %d" % (field, length, len(x)))
     return x
 
 
 def class_from_json(obj, genus=None, field="'class'"):
-    coords = tuple(_json_array(obj, field))
+    coords = tuple(_json(obj, list, field))
     for a in coords:
         if type(a) is not int:
-            raise _bad_json("coordinate of " + field, "integer", a)
+            raise _bad_json("coordinate of " + field, int, a)
     if genus is not None and len(coords) != 2 * genus:
         raise ValueError("expected %d coordinates, got %d" % (2 * genus, len(coords)))
     return HomologyClass(coords)
@@ -132,10 +121,10 @@ def matrix_from_json(rows):
     return SymplecticMatrix(
         tuple(
             tuple(
-                _json_int(a, "matrix entry (%d, %d)" % (i, j))
-                for j, a in enumerate(_json_array(row, "matrix row %d" % i))
+                _json(a, int, "matrix entry (%d, %d)" % (i, j))
+                for j, a in enumerate(_json(row, list, "matrix row %d" % i))
             )
-            for i, row in enumerate(_json_array(rows, "matrix"))
+            for i, row in enumerate(_json(rows, list, "matrix"))
         )
     )
 
@@ -145,7 +134,7 @@ def sqrt_to_json(x):
 
 
 def sqrt_from_json(obj, field="'square'"):
-    square = _json_object(obj, "the object holding " + field)["square"]
+    square = _json(obj, dict, "the object holding " + field)["square"]
     return ExactSqrt(parse_fraction(square, field))
 
 
@@ -162,7 +151,9 @@ def format_sparse_lines(v):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_sparse_lines(text, genus=None, full=False):
+def parse_sparse_lines(text):
+    "A sparse vector from point lines; the first line's length fixes the genus."
+    genus = None
     entries = []
     for lineno, line in enumerate(str(text).splitlines(), 1):
         line = line.strip()
@@ -181,8 +172,8 @@ def parse_sparse_lines(text, genus=None, full=False):
         )
         entries.append((m, val))
     if genus is None:
-        raise ValueError("empty sparse vector file needs an explicit genus")
-    return SparseVector(genus, entries, full=full)
+        raise ValueError("sparse vector file has no point line to fix its genus")
+    return SparseVector(genus, entries)
 
 
 def sparse_to_json(v):
@@ -201,12 +192,12 @@ def sparse_to_json(v):
 
 
 def sparse_from_json(obj, field="sparse vector"):
-    obj = _json_object(obj, field)
-    genus = _json_int(obj["genus"], "'genus'")
-    full = _json_bool(obj.get("full", False), "'full'")
+    obj = _json(obj, dict, field)
+    genus = _json(obj["genus"], int, "'genus'")
+    full = _json(obj.get("full", False), bool, "'full'")
     entries = []
-    for entry in _json_array(obj.get("coefficients", []), "'coefficients'"):
-        m = class_from_json(_json_object(entry, "coefficient")["class"], genus)
+    for entry in _json(obj.get("coefficients", []), list, "'coefficients'"):
+        m = class_from_json(_json(entry, dict, "coefficient")["class"], genus)
         try:
             real = parse_fraction(entry["re"])
             imag = parse_fraction(entry["im"])
@@ -224,13 +215,11 @@ def curve_to_json(c):
 
 
 def curve_from_json(obj, genus=None):
-    cid = _json_str(_json_object(obj, "curve")["id"], "'id' of a curve")
+    cid = _json(_json(obj, dict, "curve")["id"], str, "'id' of a curve")
     return Curve(
         id=cid,
         cls=class_from_json(obj["cls"], genus, "'cls' of curve %r" % cid),
-        separating=_json_bool(
-            obj.get("separating", False), "'separating' of curve %r" % cid
-        ),
+        separating=_json(obj.get("separating", False), bool, "'separating' of curve %r" % cid),
     )
 
 
@@ -240,11 +229,11 @@ def word_to_json(w):
 
 def word_from_json(obj, field="'word'"):
     letters = []
-    for letter in _json_array(obj, field):
-        cid, e = _json_array(letter, "letter of " + field, 2)
-        _json_str(cid, "curve id of a letter of " + field)
+    for letter in _json(obj, list, field):
+        cid, e = _json_tuple(letter, 2, "letter of " + field)
+        _json(cid, str, "curve id of a letter of " + field)
         if type(e) is not int:
-            raise _bad_json("exponent of %r in %s" % (cid, field), "integer", e)
+            raise _bad_json("exponent of %r in %s" % (cid, field), int, e)
         letters.append((cid, e))
     return TwistWord(tuple(letters))
 
@@ -260,18 +249,18 @@ def relation_to_json(rel):
 
 
 def relation_from_json(obj):
-    _json_object(obj, "relation")
+    _json(obj, dict, "relation")
     intersections = []
-    for entry in _json_array(obj.get("intersections", []), "'intersections'"):
-        a, b, n = _json_array(entry, "entry of 'intersections'", 3)
-        _json_str(a, "first curve id of an entry of 'intersections'")
-        _json_str(b, "second curve id of an entry of 'intersections'")
+    for entry in _json(obj.get("intersections", []), list, "'intersections'"):
+        a, b, n = _json_tuple(entry, 3, "entry of 'intersections'")
+        _json(a, str, "first curve id of an entry of 'intersections'")
+        _json(b, str, "second curve id of an entry of 'intersections'")
         if type(n) is not int:
-            raise _bad_json("intersection number of %r and %r" % (a, b), "integer", n)
+            raise _bad_json("intersection number of %r and %r" % (a, b), int, n)
         intersections.append((a, b, n))
     return RelationInstance(
-        name=_json_str(obj["name"], "'name' of a relation"),
-        curves=tuple(curve_from_json(c) for c in _json_array(obj["curves"], "'curves'")),
+        name=_json(obj["name"], str, "'name' of a relation"),
+        curves=tuple(curve_from_json(c) for c in _json(obj["curves"], list, "'curves'")),
         lhs=word_from_json(obj["lhs"], "'lhs'"),
         rhs=word_from_json(obj["rhs"], "'rhs'"),
         intersections=tuple(intersections),
@@ -279,7 +268,7 @@ def relation_from_json(obj):
 
 
 def relations_from_json(obj):
-    return [relation_from_json(rel) for rel in _json_array(obj, "relation file")]
+    return [relation_from_json(rel) for rel in _json(obj, list, "relation file")]
 
 
 def cocycle_to_json(u):
@@ -291,12 +280,12 @@ def cocycle_to_json(u):
 
 
 def cocycle_from_json(obj):
-    genus = _json_int(_json_object(obj, "cocycle")["genus"], "'genus'")
-    generators = _json_array(obj["generators"], "'generators'")
+    genus = _json(_json(obj, dict, "cocycle")["genus"], int, "'genus'")
+    generators = _json(obj["generators"], list, "'generators'")
     gens = GeneratorSet(curve_from_json(c, genus) for c in generators)
     values = {
         cid: sparse_from_json(v, "value of %r" % cid)
-        for cid, v in _json_object(obj["values"], "'values'").items()
+        for cid, v in _json(obj["values"], dict, "'values'").items()
     }
     return Cocycle(gens, values)
 
@@ -314,10 +303,10 @@ def report_to_json(rep):
 
 
 def report_from_json(obj):
-    _json_object(obj, "solve report")
+    _json(obj, dict, "solve report")
     decay = []
-    for e in _json_array(obj.get("decay", []), "'decay'"):
-        k = _json_int(_json_object(e, "decay entry")["k"], "'k' of a decay entry")
+    for e in _json(obj.get("decay", []), list, "'decay'"):
+        k = _json(_json(e, dict, "decay entry")["k"], int, "'k' of a decay entry")
         at = " of the decay entry with k = %d" % k
         fk = sqrt_from_json(e["F"], "'square' of 'F'" + at)
         decay.append((k, fk, sqrt_from_json(e["G"], "'square' of 'G'" + at)))

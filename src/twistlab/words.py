@@ -8,11 +8,12 @@ matrix equality.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
 from .lattice import (
     HomologyClass,
     SymplecticMatrix,
+    basis_curve_class,
     basis_curve_name,
     intersection,
     iter_classes,
@@ -44,8 +45,10 @@ class TwistWord:
     letters: tuple = ()
 
     def __post_init__(self):
-        letters = tuple((str(c), e) for c, e in self.letters)
+        letters = tuple((c, e) for c, e in self.letters)
         for c, e in letters:
+            if type(c) is not str:
+                raise TypeError("curve id of letter %r must be a string" % ((c, e),))
             # type(), not isinstance(): a bool is an int subclass
             if type(e) is not int:
                 raise TypeError("exponent of %r must be an integer, got %r" % (c, e))
@@ -99,16 +102,9 @@ class RelationInstance:
         return {c.id: c for c in self.curves}
 
 
-def _as_table(curves):
-    "A curve table by id, from a dict or an iterable of curves."
-    if isinstance(curves, dict):
-        return curves
-    return {c.id: c for c in curves}
-
-
 def word_matrix(word, curves):
     "Product of the twist matrices of the word's letters, in word order."
-    table = _as_table(curves)
+    table = curves if isinstance(curves, dict) else {c.id: c for c in curves}
     if not table:
         raise ValueError("empty curve table")
     dim = 2 * next(iter(table.values())).cls.genus
@@ -134,65 +130,58 @@ def check_metadata(rel):
             )
 
 
+def matrix_residual(rel):
+    """Largest |entry| of the difference of the two sides' matrices; 0 iff the relation holds.
+
+    Both words are evaluated first; then a declared pairing that disagrees
+    with the classes raises MetadataError.
+    """
+    lhs = word_matrix(rel.lhs, rel.curves)
+    rhs = word_matrix(rel.rhs, rel.curves)
+    check_metadata(rel)
+    return max(
+        (abs(a - b) for ra, rb in zip(lhs.rows, rhs.rows) for a, b in zip(ra, rb)), default=0
+    )
+
+
 def verify_relation(rel):
     """True iff both sides evaluate to the same symplectic matrix.
 
     Metadata inconsistencies raise MetadataError instead of returning False.
     """
-    check_metadata(rel)
-    return word_matrix(rel.lhs, rel.curves) == word_matrix(rel.rhs, rel.curves)
+    return not matrix_residual(rel)
 
 
 def is_torelli(word, curves):
     "True iff the word acts trivially on homology (symplectic-level test)."
-    table = _as_table(curves)
-    if not table:
-        raise ValueError("empty curve table")
-    dim = 2 * next(iter(table.values())).cls.genus
-    return word_matrix(word, table) == SymplecticMatrix.identity(dim)
+    M = word_matrix(word, curves)
+    return M == SymplecticMatrix.identity(M.dim)
 
 
 def transvection_class(M):
     """The class c with M = I + c (c^T J), or None if M is no transvection.
 
-    c is only determined up to sign; the returned representative has a
-    positive leading coordinate.
+    The rank-one factor C = (M - I) J^T is then c c^T: its first nonzero
+    diagonal entry is c_i^2 and its row i is c_i c.  c is only determined
+    up to sign; the returned representative has a positive leading
+    coordinate.
     """
-    dim = M.dim
-    B = [[M.rows[i][j] - (1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    if all(all(a == 0 for a in row) for row in B):
-        return None  # identity: the zero class, not a genuine transvection
-    col = None
-    for q in range(dim):
-        column = [B[i][q] for i in range(dim)]
-        if any(column):
-            col = column
-            break
-    g0 = 0
-    for a in col:
-        g0 = gcd(g0, abs(a))
-    prim = [a // g0 for a in col]
-    if next(a for a in prim if a) < 0:
-        prim = [-a for a in prim]
-    # B = (s*prim)(s*prim)^T J for some positive integer s; read s^2 off
-    # a nonzero entry of B against the corresponding entry of
-    # twist_matrix(prim) - I = prim prim^T J.
-    ref_rows = twist_matrix(HomologyClass(prim)).rows
-    for i in range(dim):
-        for j in range(dim):
-            ref = ref_rows[i][j] - (1 if i == j else 0)
-            if ref:
-                if B[i][j] % ref:
-                    return None
-                s2 = B[i][j] // ref
-                if s2 <= 0:
-                    return None
-                s = isqrt(s2)
-                if s * s != s2:
-                    return None
-                cand = HomologyClass([s * a for a in prim])
-                return cand if twist_matrix(cand) == M else None
-    return None
+    rows = M.rows
+
+    def entry(i, j):
+        "C[i][j]: J^T takes column j ^ 1 of M - I, negated where j is odd."
+        return (rows[i][j ^ 1] - (i == j ^ 1)) * (-1) ** j
+
+    i = next((i for i in range(M.dim) if entry(i, i)), None)
+    if i is None:
+        return None  # a zero diagonal makes c = 0: M is the identity or no transvection
+    square = entry(i, i)
+    ci = isqrt(square) if square > 0 else 0
+    row = [entry(i, j) for j in range(M.dim)]
+    if ci * ci != square or any(a % ci for a in row):
+        return None
+    cand = HomologyClass([a // ci for a in row])
+    return cand if twist_matrix(cand) == M else None
 
 
 def find_twist_pair(M, max_norm):
@@ -281,9 +270,4 @@ def builtin_catalog(g):
 
 def basis_curves(g):
     "The 2g basis curves as a curve table (x1, y1, ..., xg, yg)."
-    out = []
-    for idx in range(2 * g):
-        j = idx // 2 + 1
-        cls = x_basis(g, j) if idx % 2 == 0 else y_basis(g, j)
-        out.append(Curve(basis_curve_name(idx), cls))
-    return tuple(out)
+    return tuple(Curve(basis_curve_name(i), basis_curve_class(g, i)) for i in range(2 * g))

@@ -28,11 +28,12 @@ from twistlab import (  # noqa: E402
     HomologyClass,
     SparseVector,
     coboundary,
+    x_basis,
     y_basis,
 )
 from twistlab import serialize as ser  # noqa: E402
 from twistlab.cli import main  # noqa: E402
-from twistlab.words import Curve  # noqa: E402
+from twistlab.words import Curve, RelationInstance, TwistWord  # noqa: E402
 
 # case name -> argv, with "@name" standing for the input file HERE/name
 CASES = {
@@ -49,6 +50,10 @@ CASES = {
     "verify-relations-g6": ["verify-relations", "--genus", "6"],
     "dump-catalog-g3": ["verify-relations", "--dump-catalog", "--genus", "3"],
     "dump-catalog-g6": ["verify-relations", "--dump-catalog", "--genus", "6"],
+    "verify-relations-file-g4": ["verify-relations", "--genus", "4", "--in", "@relations-g4.json"],
+    "verify-relations-bad-pairing-g4": [
+        "verify-relations", "--genus", "4", "--in", "@bad-pairing-g4.json",
+    ],
 }
 
 
@@ -105,8 +110,33 @@ def write_inputs():
     )
 
 
+def _relation(name, classes, lhs, rhs, pairings):
+    curves = tuple(Curve(cid, cls) for cid, cls in classes.items())
+    return ser.relation_to_json(
+        RelationInstance(name, curves, TwistWord(lhs), TwistWord(rhs), pairings)
+    )
+
+
+def write_relation_inputs():
+    x1, y1, x2, y2 = x_basis(4, 1), y_basis(4, 1), x_basis(4, 2), y_basis(4, 2)
+    ab, ba = (("a", 1), ("b", 1)), (("b", 1), ("a", 1))
+    aba, bab = ab + (("a", 1),), ba + (("b", 1),)
+    # two relations that hold and two that fail, each with true pairings
+    relations = [
+        _relation("commuting-x1-y2", dict(a=x1, b=y2), ab, ba, (("a", "b", 0),)),
+        _relation("braid-x1-y1", dict(a=x1, b=y1), aba, bab, (("a", "b", 1),)),
+        _relation("commuting-x2-y2", dict(a=x2, b=y2), ab, ba, (("a", "b", 1),)),
+        _relation("braid-x1-2y2", dict(a=x1, b=2 * y2), aba, bab, (("a", "b", 0),)),
+    ]
+    (HERE / "relations-g4.json").write_text(_dump(relations))
+    # a relation that holds, declared with a pairing its classes contradict
+    wrong = [_relation("commuting-x1-x2", dict(a=x1, b=x2), ab, ba, (("a", "b", 1),))]
+    (HERE / "bad-pairing-g4.json").write_text(_dump(wrong))
+
+
 def regenerate():
     write_inputs()
+    write_relation_inputs()
     codes = {}
     for case in CASES:
         code, out, err = run_cli(argv_for(case))

@@ -488,6 +488,14 @@ def test_json_nested_too_deeply_is_refused(tmp_path, capsys, command):
     _refused(capsys, [command, "--in", str(infile)], "%s: JSON nested too deeply" % infile)
 
 
+def test_a_long_refused_value_is_cut_in_its_error(tmp_path, capsys):
+    infile = _write(tmp_path / "long.json", {"genus": [0] * 10**6})
+    assert run(["check-cocycle", "--in", infile]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert "'genus' must be a JSON integer, got [0, 0" in err and "(3000000 characters)" in err
+
+
 def test_string_fields_must_be_json_strings(tmp_path, capsys):
     rel = ser.relation_to_json(builtin_catalog(G)[0])
     named = _write(tmp_path / "named.json", [dict(rel, name={"a": 1})])

@@ -1,9 +1,12 @@
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import (
     Curve,
+    HomologyClass,
     MetadataError,
     RelationInstance,
     SymplecticMatrix,
@@ -14,6 +17,7 @@ from twistlab import (
     find_twist_pair,
     intersection,
     is_torelli,
+    matrix_residual,
     norm1,
     transvection_class,
     twist_matrix,
@@ -48,6 +52,9 @@ def test_word_validation():
     for bad in (2.9, True):
         with pytest.raises(TypeError, match="exponent of 'x1' must be an integer"):
             TwistWord((("x1", bad),))
+    # no silent str(): a numeric curve id is refused, naming the letter
+    with pytest.raises(TypeError, match=r"curve id of letter \(7, 1\) must be a string"):
+        TwistWord.of((7, 1))
     w = TwistWord.of(("x1", 2), ("y1", -1))
     assert len(w) == 2
     assert list(w.singles()) == [("x1", 1), ("x1", 1), ("y1", -1)]
@@ -114,6 +121,8 @@ def test_verify_relation_commuting_and_braid():
         TwistWord.of(("b", 1), ("a", 1), ("b", 1)),
     )
     assert not verify_relation(broken)
+    # the largest |entry| of lhs - rhs: T_a^2 T_b and T_a T_b^2 differ by one
+    assert (matrix_residual(commuting), matrix_residual(broken)) == (0, 1)
 
 
 def test_metadata_errors_are_distinct():
@@ -136,6 +145,11 @@ def test_metadata_errors_are_distinct():
                 TwistWord.of(("a", 1)),
                 (("a", "zz", 0),),
             )
+        )
+    # the words are evaluated before the pairings are checked
+    with pytest.raises(ValueError, match="unresolved curve id 'zz'"):
+        matrix_residual(
+            _relation("both", rel.curves, TwistWord.of(("zz", 1)), TwistWord(), rel.intersections)
         )
 
 
@@ -207,6 +221,39 @@ def test_transvection_class_roundtrip():
     # a product of two crossing twists is not a transvection
     M = twist_matrix(x_basis(G, 1)) * twist_matrix(y_basis(G, 1))
     assert transvection_class(M) is None
+
+
+_nonzero_coords = st.lists(st.integers(-4, 4), min_size=2 * G, max_size=2 * G).filter(any)
+
+
+def _leading_positive(c):
+    return c if next(a for a in c.coords if a) > 0 else -c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nonzero_coords, st.integers(-4, 9))
+def test_transvection_class_of_a_twist_power(coords, n):
+    # T_c^n = I + n c c^T J is the twist about s c when n = s^2, and no twist otherwise
+    c = HomologyClass(coords)
+    s = isqrt(n) if n > 0 else 0
+    want = s * _leading_positive(c) if n > 0 and s * s == n else None
+    assert transvection_class(twist_matrix(c, n)) == want
+
+
+_row = st.lists(st.integers(-3, 3), min_size=2 * G, max_size=2 * G)
+_any_matrix = st.one_of(
+    st.lists(_row, min_size=2 * G, max_size=2 * G).map(SymplecticMatrix),
+    st.tuples(_nonzero_coords, st.integers(-2, 4), _nonzero_coords, st.integers(-2, 4)).map(
+        lambda t: twist_matrix(HomologyClass(t[0]), t[1]) * twist_matrix(HomologyClass(t[2]), t[3])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_matrix)
+def test_transvection_class_is_sound(M):
+    got = transvection_class(M)
+    assert got is None or (_leading_positive(got) == got and twist_matrix(got) == M)
 
 
 def test_conjugation_identity_random():
