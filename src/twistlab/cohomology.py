@@ -288,6 +288,11 @@ def _telescope(values):
     even (x-type) index is chosen, with sign +1, only at s = 0.  Every
     emitted point lies strictly below a hit, so inside the ball of the
     generator supports.
+
+    Returns the stretches as runs (before, after, step, top, bottom, value),
+    at most one per hit: value sits at every point before + (s,) + after,
+    with s the coordinate in the ray direction (sign of step) running over
+    range(top, bottom - 1, -|step|).  _expand turns them into points.
     """
     lines = {}
     for idx, v in enumerate(values):
@@ -308,7 +313,7 @@ def _telescope(values):
             key = (idx, -1, -step, before, after, a % abs(step))
             lines.setdefault(key, []).append((-a if step > 0 else a, hit))
 
-    f_raw = {}
+    runs = []
     for (idx, eps, step, before, after, _), hits in lines.items():
         width = abs(step)
         lo = 1 if eps < 0 else 0
@@ -333,9 +338,24 @@ def _telescope(values):
             bottom = max(hits[i + 1][0], lo) if i + 1 < len(hits) else lo
             # f = -(sum of the table values); the inverse table holds -u(t)
             value = GaussianRational(-re, -im) if eps > 0 else GaussianRational(re, im)
-            for pt in range(top, bottom - 1, -width):
-                f_raw[before + ((pt if step > 0 else -pt),) + after] = value
-    return f_raw
+            runs.append((before, after, step, top, bottom, value))
+    return runs
+
+
+def _run_range(run):
+    "The ray-direction coordinates of a run's points."
+    _, _, step, top, bottom, _ = run
+    return range(top, bottom - 1, -abs(step))
+
+
+def _expand(g, runs):
+    "The vector holding each run's value at each of its points."
+    f = SparseVector.zero(g)
+    for run in runs:
+        before, after, step, _, _, value = run
+        for pt in _run_range(run):
+            f.coeffs[HomologyClass(before + ((pt if step > 0 else -pt),) + after)] = value
+    return f
 
 
 def solve_coboundary(u, relations=None):
@@ -346,32 +366,54 @@ def solve_coboundary(u, relations=None):
     whose curve classes all resolve inside u's generators.  The returned
     report carries the exact residual of the reconstruction: it is zero
     iff u is exactly the coboundary of the returned vector.
+
+    The certificate comes first.  Where it is zero, u(c) = f - t_c f for
+    every generator c, so extend(u, w) = f - w f on every word w and a
+    relation whose two words have equal matrices has residual zero: the
+    relations could refuse nothing.  They are evaluated, in catalog order,
+    only at the first nonzero certificate term, and the first nonzero one
+    is refused, as if they had been checked first.  The exception is an
+    input whose telescope would emit more points than u's values hold
+    together: then the relations are checked before f is expanded, so the
+    cost of refusing a non-cocycle does not grow with its coordinates.
+
+    A caller-supplied relations list must therefore hold in Sp(2g, Z)
+    (verify_relation) and resolve in u's generators; it may be evaluated
+    only in part, or not at all.  relations=[] disables refusal.
     """
     if not u.gens.has_symplectic_basis():
         raise ValueError("solver needs all 2g basis twists among the generators")
     g = u.genus
-    if relations is None:
-        relations = applicable_relations(u.gens)
-    for rel in relations:
-        r = relation_residual(u, rel)
-        if r:
-            raise NonCocycleError(
-                "nonzero residual %s on relation %r" % (r, rel.name)
-            )
+
+    def refuse_non_cocycle():
+        for rel in applicable_relations(u.gens) if relations is None else relations:
+            r = relation_residual(u, rel)
+            if r:
+                raise NonCocycleError(
+                    "nonzero residual %s on relation %r" % (r, rel.name)
+                )
 
     values = []
     for idx in range(2 * g):
         gen = u.gens.find_by_class(basis_curve_class(g, idx))
         values.append(u.value(gen.id))
-    f = SparseVector.zero(g)
-    f.coeffs = {HomologyClass(coords): val for coords, val in _telescope(values).items()}
+    runs = _telescope(values)
+    checked = False  # whether the relations have run
+    if sum(len(_run_range(run)) for run in runs) > sum(len(v) for v in u.values.values()):
+        refuse_non_cocycle()
+        checked = True
+    f = _expand(g, runs)
 
     residual_sq = 0
     for curve in u.gens:
         # the t^-1 side f - t^-1 f + t^-1 u(c) is -t^-1 (f - t f - u(c)), a
         # relabelling of this one, so it has the same norm
         terms = ((1, f), (-1, twist(curve.cls, 1, f)), (-1, u.value(curve.id)))
-        residual_sq = max(residual_sq, signed_norm_sq(terms))
+        term = signed_norm_sq(terms)
+        if term and not checked:
+            refuse_non_cocycle()
+            checked = True
+        residual_sq = max(residual_sq, term)
 
     # G reads the 4g basis twist values: u(t) and u(t^-1) = -t^-1 u(t), whose
     # points carry the same coefficients, with only coordinate idx moved

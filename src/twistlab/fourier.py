@@ -27,29 +27,32 @@ class SparseVector:
     __slots__ = ("genus", "coeffs", "full")
 
     def __init__(self, genus, coeffs=(), full=False):
-        self.genus = int(genus)
-        self.full = bool(full)
-        table = {}
+        # type(), not isinstance(): a bool is an int subclass
+        if type(genus) is not int:
+            raise TypeError("genus must be an int, got %r" % (genus,))
+        if type(full) is not bool:
+            raise TypeError("full must be a bool, got %r" % (full,))
+        self.genus = genus
+        self.full = full
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        self.coeffs = _summed(self._checked(items), full)
+
+    def _checked(self, items):
         for m, val in items:
             if not isinstance(m, HomologyClass):
                 raise TypeError("support points must be HomologyClass values")
             if m.genus != self.genus:
                 raise ValueError("genus mismatch in support point %s" % (m,))
-            val = GaussianRational.coerce(val)
-            if not val:
-                continue
-            if not m and not self.full:
-                raise ValueError(
-                    "zero class in a mean-zero vector; construct with full=True"
-                )
-            if m in table:
-                val = table[m] + val
-                if not val:
-                    del table[m]
-                    continue
-            table[m] = val
-        self.coeffs = table
+            yield m, GaussianRational.coerce(val)
+
+    @classmethod
+    def of_pairs(cls, genus, pairs, full=False):
+        """SparseVector(genus, pairs, full=full) for pairs already known to
+        be (HomologyClass of this genus, GaussianRational): the same vector,
+        without checking or coercing each pair again."""
+        out = cls.zero(genus, full=full)
+        out.coeffs = _summed(pairs, full)
+        return out
 
     @classmethod
     def zero(cls, genus, full=False):
@@ -133,6 +136,26 @@ class SparseVector:
 
     def __repr__(self):
         return "SparseVector(genus=%d, support=%d)" % (self.genus, len(self.coeffs))
+
+
+def _summed(pairs, full):
+    """The coefficient table of (class, GaussianRational) pairs: values at
+    one class add up, zero values and zero sums drop, and a nonzero value
+    at the zero class is an error unless full."""
+    table = {}
+    for m, val in pairs:
+        if not val:
+            continue
+        if not m and not full:
+            raise ValueError("zero class in a mean-zero vector; construct with full=True")
+        old = table.get(m)
+        if old is not None:
+            val = old + val
+            if not val:
+                del table[m]
+                continue
+        table[m] = val
+    return table
 
 
 def act(M, v):

@@ -103,14 +103,22 @@ def _json_tuple(x, length, field):
     return x
 
 
-def class_from_json(obj, genus=None, field="'class'"):
+def class_from_json(obj, genus=None, field="'class'", memo=None):
+    """The class of a JSON coordinate array.  A memo dict, if given, maps
+    coordinate tuples to classes already built; it is read only after the
+    checks, as True == 1 would otherwise find the class of a 1."""
     coords = tuple(_json(obj, list, field))
     for a in coords:
         if type(a) is not int:
             raise _bad_json("coordinate of " + field, int, a)
     if genus is not None and len(coords) != 2 * genus:
         raise ValueError("expected %d coordinates, got %d" % (2 * genus, len(coords)))
-    return HomologyClass(coords)
+    if memo is None:
+        return HomologyClass(coords)
+    m = memo.get(coords)
+    if m is None:
+        m = memo[coords] = HomologyClass(coords)
+    return m
 
 
 def matrix_to_json(M):
@@ -191,23 +199,32 @@ def sparse_to_json(v):
     }
 
 
-def sparse_from_json(obj, field="sparse vector"):
+def sparse_from_json(obj, field="sparse vector", memo=None):
+    """The vector of a JSON object, as SparseVector(...) builds it from the
+    parsed entries.  memo maps coordinate tuples to classes and (re, im)
+    string pairs to coefficients; cocycle_from_json shares one between the
+    values of a cocycle, whose points and coefficients repeat."""
     obj = _json(obj, dict, field)
     genus = _json(obj["genus"], int, "'genus'")
     full = _json(obj.get("full", False), bool, "'full'")
+    memo = {} if memo is None else memo
     entries = []
     for entry in _json(obj.get("coefficients", []), list, "'coefficients'"):
-        m = class_from_json(_json(entry, dict, "coefficient")["class"], genus)
-        try:
-            real = parse_fraction(entry["re"])
-            imag = parse_fraction(entry["im"])
-        except ValueError:
-            # the message names the point; formatting it costs more than parsing
-            at = " of the coefficient at %s" % m
-            real = parse_fraction(entry["re"], "'re'" + at)
-            imag = parse_fraction(entry["im"], "'im'" + at)
-        entries.append((m, GaussianRational(real, imag)))
-    return SparseVector(genus, entries, full=full)
+        m = class_from_json(_json(entry, dict, "coefficient")["class"], genus, memo=memo)
+        key = entry["re"], entry.get("im")
+        val = memo.get(key) if type(key[0]) is str and type(key[1]) is str else None
+        if val is None:
+            try:
+                real = parse_fraction(entry["re"])
+                imag = parse_fraction(entry["im"])
+            except ValueError:
+                # the message names the point; formatting it costs more than parsing
+                at = " of the coefficient at %s" % m
+                real = parse_fraction(entry["re"], "'re'" + at)
+                imag = parse_fraction(entry["im"], "'im'" + at)
+            val = memo[key] = GaussianRational(real, imag)
+        entries.append((m, val))
+    return SparseVector.of_pairs(genus, entries, full=full)
 
 
 def curve_to_json(c):
@@ -283,8 +300,9 @@ def cocycle_from_json(obj):
     genus = _json(_json(obj, dict, "cocycle")["genus"], int, "'genus'")
     generators = _json(obj["generators"], list, "'generators'")
     gens = GeneratorSet(curve_from_json(c, genus) for c in generators)
+    memo = {}  # the points and coefficients of the values repeat
     values = {
-        cid: sparse_from_json(v, "value of %r" % cid)
+        cid: sparse_from_json(v, "value of %r" % cid, memo)
         for cid, v in _json(obj["values"], dict, "'values'").items()
     }
     return Cocycle(gens, values)

@@ -11,6 +11,7 @@ from itertools import combinations
 from math import isqrt
 
 from .lattice import (
+    MIN_GENUS,
     HomologyClass,
     SymplecticMatrix,
     basis_curve_class,
@@ -158,14 +159,26 @@ def is_torelli(word, curves):
     return M == SymplecticMatrix.identity(M.dim)
 
 
+def _check_lattice_dim(M):
+    "M must act on a genus-g lattice with g >= MIN_GENUS, where classes live."
+    if M.dim < 2 * MIN_GENUS:
+        raise ValueError(
+            "need a 2g x 2g matrix with g >= %d, got dimension %d" % (MIN_GENUS, M.dim)
+        )
+
+
 def transvection_class(M):
     """The class c with M = I + c (c^T J), or None if M is no transvection.
+
+    M must be 2g x 2g with g >= MIN_GENUS, as classes are; a smaller
+    matrix raises ValueError naming its dimension.
 
     The rank-one factor C = (M - I) J^T is then c c^T: its first nonzero
     diagonal entry is c_i^2 and its row i is c_i c.  c is only determined
     up to sign; the returned representative has a positive leading
     coordinate.
     """
+    _check_lattice_dim(M)
     rows = M.rows
 
     def entry(i, j):
@@ -187,8 +200,10 @@ def transvection_class(M):
 def find_twist_pair(M, max_norm):
     """Bounded search for classes (d, e) with T_d T_e = M, norm1 <= max_norm.
 
-    Returns the first pair found in enumeration order, or None.
+    Returns the first pair found in enumeration order, or None.  M must be
+    2g x 2g with g >= MIN_GENUS, as for transvection_class.
     """
+    _check_lattice_dim(M)
     g = M.dim // 2
     identity = SymplecticMatrix.identity(M.dim)
     for d in iter_classes(g, max_norm):

@@ -40,6 +40,7 @@ CASES = {
     "solve-clean-g3": ["solve", "--genus", "3", "--in", "@clean-g3.json"],
     "solve-residual-g4": ["solve", "--genus", "4", "--in", "@extra-gen-g4.json"],
     "solve-refused-g4": ["solve", "--genus", "4", "--in", "@perturbed-g4.json"],
+    "solve-refused-guard-g3": ["solve", "--genus", "3", "--in", "@guard-g3.json"],
     "check-cocycle-clean-g3": ["check-cocycle", "--in", "@clean-g3.json"],
     "check-cocycle-perturbed-g4": ["check-cocycle", "--in", "@perturbed-g4.json"],
     "decay-report-text-g4": ["decay-report", "--in", "@vector-g4.txt", "--kmax", "5"],
@@ -101,6 +102,12 @@ def write_inputs():
     (HERE / "extra-gen-g4.json").write_text(
         _dump(ser.cocycle_to_json(Cocycle(extra, values)))
     )
+
+    # one point far up the y1 line: its telescope would emit 10^6 points, so
+    # the relation check runs first and refuses at braid-x1-y1
+    values = {c.id: SparseVector.zero(3) for c in gens3}
+    values["y1"] = SparseVector.basis(HomologyClass((1, 10**6, 0, 0, 0, 0)))
+    (HERE / "guard-g3.json").write_text(_dump(ser.cocycle_to_json(Cocycle(gens3, values))))
 
     (HERE / "vector-g4.txt").write_text(
         ser.format_sparse_lines(rand_sparse(rng, 4, 12, num_bound=10**4, den_bound=10**3))

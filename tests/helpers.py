@@ -3,7 +3,8 @@
 Oracles here intentionally avoid the library code paths they check:
 matrix products are done on plain lists, the pairing is expanded over
 basis pairs, grid means are brute-force sums, and the telescoping solver
-is checked against the step-by-step candidate walk it replaced.
+is checked against the step-by-step candidate walk it replaced, and the
+certificate-first solver against the relation-first order it replaced.
 """
 
 import cmath
@@ -14,11 +15,15 @@ from fractions import Fraction
 from twistlab import (
     GaussianRational,
     HomologyClass,
+    NonCocycleError,
     SparseVector,
     TorusPoint,
     TwistWord,
+    applicable_relations,
     basis_curve_class,
     choose_increasing_twist,
+    relation_residual,
+    solve_coboundary,
     transvect,
 )
 
@@ -150,6 +155,17 @@ def oracle_evaluate(v, rho):
     return total
 
 
+def oracle_solve(u, relations=None):
+    """solve_coboundary in the order it used to run: every relation first,
+    refusing at the first nonzero residual, then the telescope and the
+    certificate, with refusal switched off."""
+    if relations is None:
+        relations = applicable_relations(u.gens)
+    for rel in relations:
+        r = relation_residual(u, rel)
+        if r:
+            raise NonCocycleError("nonzero residual %s on relation %r" % (r, rel.name))
+    return solve_coboundary(u, relations=[])
 
 
 def _oracle_tables(u):

@@ -1,8 +1,10 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import (
     Cocycle,
@@ -10,6 +12,7 @@ from twistlab import (
     ExactSqrt,
     GaussianRational,
     GeneratorSet,
+    HomologyClass,
     NonCocycleError,
     RelationInstance,
     SolveReport,
@@ -36,9 +39,10 @@ from twistlab import (
     y_basis,
     zero_class,
 )
+from twistlab import cohomology
 from twistlab import serialize as ser
 
-from helpers import rand_basis_word, rand_class, rand_sparse
+from helpers import oracle_solve, rand_basis_word, rand_class, rand_sparse
 
 G = 3
 
@@ -399,6 +403,98 @@ def test_solver_refuses_on_relation_residual():
     pert = Cocycle(gens, values)
     with pytest.raises(NonCocycleError):
         solve_coboundary(pert)
+
+
+def _scalars():
+    return st.builds(
+        lambda p, q, r: GaussianRational(Fraction(p, q), r),
+        st.integers(-9, 9), st.integers(1, 4), st.integers(-9, 9),
+    )
+
+
+@st.composite
+def _cocycles(draw):
+    """A coboundary at g = 3..6, plus 0..2 bumps d e_p: the bench's (p fixed
+    by x1, y1, y2 and moved by x2, on u(x1)), p near 0 on one handle on any
+    generator, or p = (a, b) far up the b-line of handle j on u(y_j), whose
+    telescope is longer than the input, so both check orders are drawn."""
+    g = draw(st.integers(3, 6))
+    gens = GeneratorSet.symplectic_basis(g)
+    coords = st.lists(st.integers(-2, 2), min_size=2 * g, max_size=2 * g).filter(any)
+    f = draw(st.dictionaries(coords.map(HomologyClass), _scalars(), max_size=6))
+    values = dict(coboundary(SparseVector(g, f), gens).values)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("bench", "near", "far")))
+        j = draw(st.integers(0, g - 1))
+        p = [0] * (2 * g)
+        if kind == "bench":
+            cid = "x1"
+            p[3] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            p[4:] = draw(st.lists(st.integers(-3, 3), min_size=2 * g - 4, max_size=2 * g - 4))
+        elif kind == "near":
+            cid = draw(st.sampled_from(gens.ids()))
+            p[2 * j : 2 * j + 2] = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        else:
+            cid = "y%d" % (j + 1)
+            p[2 * j] = draw(st.sampled_from((-2, -1, 1, 2)))
+            p[2 * j + 1] = draw(st.integers(60, 300) | st.integers(-300, -60))
+        if any(p):
+            values[cid] = values[cid] + SparseVector.basis(HomologyClass(p), draw(_scalars()))
+    return Cocycle(gens, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cocycles())
+def test_certificate_first_solve_matches_the_relation_first_order(u):
+    try:
+        want = oracle_solve(u)
+    except NonCocycleError as exc:
+        with pytest.raises(NonCocycleError) as got:
+            solve_coboundary(u)
+        assert str(got.value) == str(exc)
+    else:
+        assert solve_coboundary(u) == want
+
+
+def test_relations_run_only_at_a_nonzero_certificate(monkeypatch):
+    evaluated = []
+    real = cohomology.relation_residual
+
+    def counted(u, rel):
+        evaluated.append(rel.name)
+        return real(u, rel)
+
+    monkeypatch.setattr(cohomology, "relation_residual", counted)
+    gens = basis_gens()
+    u = coboundary(rand_sparse(random.Random(422), G, 40), gens)
+    assert solve_coboundary(u).residual == 0
+    assert evaluated == []
+    # the bench's bump: refused at the first relation, the others not evaluated
+    bump = SparseVector.basis(HomologyClass((0, 0, 0, 2, 1, -1)), Fraction(3, 4))
+    pert = Cocycle(gens, dict(u.values, x1=u.value("x1") + bump))
+    with pytest.raises(NonCocycleError, match="'commuting-x1-x2'"):
+        solve_coboundary(pert)
+    assert evaluated == ["commuting-x1-x2"]
+
+
+def test_a_long_telescope_runs_the_relations_first(monkeypatch):
+    # u(y1) = e_p far up the y1 line: the telescope's one run would hold
+    # 10^9 points, so the relations run before it is expanded
+    def bounded_expand(g, runs):
+        # fail fast instead of filling memory if the guard ever breaks
+        assert sum(len(cohomology._run_range(run)) for run in runs) < 10**6
+        return real_expand(g, runs)
+
+    real_expand = cohomology._expand
+    monkeypatch.setattr(cohomology, "_expand", bounded_expand)
+    gens = basis_gens()
+    values = {cid: SparseVector.zero(G) for cid in gens.ids()}
+    values["y1"] = SparseVector.basis(HomologyClass((1, 10**9, 0, 0, 0, 0)))
+    u = Cocycle(gens, values)
+    start = time.process_time()
+    with pytest.raises(NonCocycleError, match="'braid-x1-y1'"):
+        solve_coboundary(u)
+    assert time.process_time() - start < 1.0
 
 
 def test_solver_nonzero_residual_when_not_coboundary():

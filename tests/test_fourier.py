@@ -62,6 +62,15 @@ def test_sparse_vector_construction():
         SparseVector(G, {x_basis(4, 1): 1})
 
 
+@pytest.mark.parametrize(
+    "args, name", [((3.9,), "genus"), ((True,), "genus"), ((G, {}, 1), "full"), ((G, {}, None), "full")]
+)
+def test_sparse_vector_refuses_a_genus_or_flag_of_another_type(args, name):
+    # no silent float -> int or int -> bool coercion
+    with pytest.raises(TypeError, match="%s must be an? (int|bool), got" % name):
+        SparseVector(*args)
+
+
 def test_sparse_vector_arithmetic():
     x1, y1 = x_basis(G, 1), y_basis(G, 1)
     v = SparseVector(G, {x1: 1, y1: GaussianRational(0, 1)})

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -6,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from twistlab import (
+    Cocycle,
     ExactSqrt,
+    GaussianRational,
     GeneratorSet,
     HomologyClass,
     SparseVector,
@@ -191,3 +194,92 @@ def test_report_decoder_takes_an_integer_k_and_string_squares():
     with pytest.raises(ValueError, match="'square' of the residual must be a JSON string, got 0"):
         ser.report_from_json(bad)
     assert ser.report_from_json(obj).decay == rep.decay
+
+
+P, Q = [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]
+
+
+def _vector(*entries, **extra):
+    "A sparse-vector JSON object at genus 3 from (class, re, im) entries."
+    coefficients = [{"class": c, "re": re, "im": im} for c, re, im in entries]
+    return dict({"genus": G, "coefficients": coefficients}, **extra)
+
+
+def test_remembered_points_and_coefficients_are_type_checked_again():
+    # True == 1 and hash(True) == hash(1): a memo read before the check
+    # would hand the second entry the class of the first
+    msg = "coordinate of 'class' must be a JSON integer, got true"
+    with pytest.raises(ValueError, match=msg):
+        ser.sparse_from_json(_vector((P, "1", "0"), ([True, 0, 0, 0, 0, 1], "1", "0")))
+    gens = [ser.curve_to_json(c) for c in GeneratorSet.symplectic_basis(G)]
+    values = {c["id"]: _vector() for c in gens}
+    values["x1"] = _vector((P, "1", "0"))
+    values["y3"] = _vector(([True, 0, 0, 0, 0, 1], "1", "0"))
+    with pytest.raises(ValueError, match=msg):
+        ser.cocycle_from_json({"genus": G, "generators": gens, "values": values})
+    msg = "'re' of the coefficient at 0 1 0 0 0 0 must be a JSON string, got 1"
+    with pytest.raises(ValueError, match=msg):
+        ser.sparse_from_json(_vector((P, "1", "0"), (Q, 1, "0")))
+    with pytest.raises(ValueError, match="'im' of the coefficient at 0 1 0 0 0 0 must be a JSON"):
+        ser.sparse_from_json(_vector((P, "1", "0"), (Q, "1", 0)))
+
+
+def test_decoder_reports_errors_in_the_constructor_order():
+    zero = [0] * 6
+    # a zero class with a nonzero value is refused only after every entry
+    # parsed, as SparseVector(...) refuses it: the bad rational is reported
+    with pytest.raises(ValueError, match="'re' of the coefficient at 1 0 0 0 0 1 must be a rational"):
+        ser.sparse_from_json(_vector((zero, "1", "0"), (P, "1/x", "0")))
+    with pytest.raises(ValueError) as got:
+        ser.sparse_from_json(_vector((P, "1", "0"), (zero, "1", "0")))
+    with pytest.raises(ValueError) as want:
+        SparseVector(G, [(zero_class(G), 1)])
+    assert str(got.value) == str(want.value)
+    # a zero value drops, even at the zero class; full=True keeps the class
+    assert ser.sparse_from_json(_vector((zero, "0", "0/5"))) == SparseVector.zero(G)
+    full = ser.sparse_from_json(_vector((zero, "2", "0"), full=True))
+    assert full == SparseVector(G, [(zero_class(G), 2)], full=True) and full.full
+    with pytest.raises(KeyError):
+        ser.sparse_from_json({"genus": G, "coefficients": [{"class": P, "re": "1"}]})
+
+
+def test_decoder_sums_and_cancels_duplicate_points():
+    v = ser.sparse_from_json(
+        _vector((P, "1/2", "1"), (Q, "3", "0"), (P, "1/2", "-1"), (Q, "-3", "0"), (P, "1/2", "0"))
+    )
+    assert v == SparseVector(G, {HomologyClass(P): Fraction(3, 2)})
+    assert list(v.coeffs) == [HomologyClass(P)]
+
+
+def _constructed(obj):
+    "The cocycle of a JSON object, each value built by SparseVector(...)."
+    gens = GeneratorSet(ser.curve_from_json(c, obj["genus"]) for c in obj["generators"])
+    values = {}
+    for cid, v in obj["values"].items():
+        entries = [
+            (
+                ser.class_from_json(e["class"], v["genus"]),
+                GaussianRational(ser.parse_fraction(e["re"]), ser.parse_fraction(e["im"])),
+            )
+            for e in v["coefficients"]
+        ]
+        values[cid] = SparseVector(v["genus"], entries, full=v.get("full", False))
+    return Cocycle(gens, values)
+
+
+def test_decoded_bench_cocycles_equal_constructed_ones():
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import inputs
+
+    decoded = 0
+    for workload in ("solve-dense", "audit"):
+        for op in inputs.generate(workload, 3):
+            for text in op.files.values():
+                obj = json.loads(text) if text.startswith("{") else None
+                if obj is None or "values" not in obj:
+                    continue
+                got, want = ser.cocycle_from_json(obj), _constructed(obj)
+                assert got.gens.ids() == want.gens.ids()
+                assert got.values == want.values
+                decoded += 1
+    assert decoded == 32 + 3 * 4

@@ -223,6 +223,17 @@ def test_transvection_class_roundtrip():
     assert transvection_class(M) is None
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_transvection_search_needs_a_genus_3_lattice(dim):
+    # [[1, 1], [0, 1]] is a transvection, but of no lattice that classes live on
+    M = SymplecticMatrix(
+        tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(dim)) for i in range(dim))
+    )
+    for search in (transvection_class, lambda M: find_twist_pair(M, 2)):
+        with pytest.raises(ValueError, match="got dimension %d" % dim):
+            search(M)
+
+
 _nonzero_coords = st.lists(st.integers(-4, 4), min_size=2 * G, max_size=2 * G).filter(any)
 
 
