@@ -22,7 +22,8 @@ class HomologyClass:
                 "need 2g coordinates with g >= %d, got %d" % (MIN_GENUS, len(coords))
             )
         for c in coords:
-            if not isinstance(c, int):
+            # type(), not isinstance(): a bool is an int subclass
+            if type(c) is not int:
                 raise TypeError("coordinates must be integers, got %r" % (c,))
         self.coords = coords
         self._hash = hash(coords)
@@ -164,8 +165,8 @@ class SymplecticMatrix:
             if len(r) != dim:
                 raise ValueError("matrix must be square")
             for a in r:
-                if not isinstance(a, int):
-                    raise TypeError("entries must be integers")
+                if type(a) is not int:
+                    raise TypeError("entries must be integers, got %r" % (a,))
         self.rows = rows
         self._hash = hash(rows)
 

@@ -49,6 +49,7 @@ CASES = {
     ],
     "verify-relations-g3": ["verify-relations", "--genus", "3"],
     "verify-relations-g6": ["verify-relations", "--genus", "6"],
+    "verify-relations-g8": ["verify-relations", "--genus", "8"],
     "dump-catalog-g3": ["verify-relations", "--dump-catalog", "--genus", "3"],
     "dump-catalog-g6": ["verify-relations", "--dump-catalog", "--genus", "6"],
     "verify-relations-file-g4": ["verify-relations", "--genus", "4", "--in", "@relations-g4.json"],

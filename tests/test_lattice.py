@@ -43,6 +43,22 @@ def test_class_construction_guards():
         HomologyClass((1.0, 0, 0, 0, 0, 0))
 
 
+def test_class_refuses_bools():
+    # no silent bool -> int: True would otherwise equal the coordinate 1
+    with pytest.raises(TypeError, match="coordinates must be integers, got True"):
+        HomologyClass((True, 0, 0, 0, 0, False))
+    with pytest.raises(TypeError, match="got False"):
+        HomologyClass((1, 0, 0, 0, 0, False))
+
+
+def test_matrix_refuses_bools_and_floats():
+    with pytest.raises(TypeError, match="entries must be integers, got True"):
+        SymplecticMatrix(((True, 0), (0, 1)))
+    with pytest.raises(TypeError, match="got 1.0"):
+        SymplecticMatrix(((1, 0), (0, 1.0)))
+    assert SymplecticMatrix(((1, 0), (0, 1))) == SymplecticMatrix.identity(2)
+
+
 def test_class_arithmetic():
     x1, y1 = x_basis(G, 1), y_basis(G, 1)
     assert (x1 + y1).coords == (1, 1, 0, 0, 0, 0)

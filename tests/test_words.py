@@ -38,7 +38,9 @@ def _basis_table(g=G):
 
 
 def _oracle_word_rows(word, table):
-    rows = mat_identity(2 * G)
+    "Dense product of the oracle transvection matrices, in word order."
+    table = table if isinstance(table, dict) else {c.id: c for c in table}
+    rows = mat_identity(len(next(iter(table.values())).cls))
     for cid, e in word.letters:
         step = oracle_transvection_rows(table[cid].cls, e)
         rows = mat_mul(rows, step)
@@ -88,8 +90,50 @@ def test_word_matrix_monoid_homomorphism():
 
 
 def test_word_matrix_unresolved_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unresolved curve id 'nope'"):
         word_matrix(TwistWord.of(("nope", 1)), _basis_table())
+    # the first unresolved letter from the left is named
+    with pytest.raises(ValueError, match="unresolved curve id 'p'"):
+        word_matrix(TwistWord.of(("x1", 1), ("p", 1), ("q", -1)), _basis_table())
+
+
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_word_matrix_refuses_a_mixed_genus_table(first):
+    curves = dict(a=Curve("a", x_basis(3, 1)), b=Curve("b", y_basis(4, 1)))
+    table = {first: curves[first], **curves}
+    for word in (TwistWord.of(("a", 1), ("b", 1)), TwistWord.of(("b", -2), ("a", 1))):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            word_matrix(word, table)
+
+
+@st.composite
+def _table_and_word(draw):
+    "A curve table of random classes at g = 3..6 and a word of length 0..8 over it."
+    g = draw(st.integers(3, 6))
+    coords = st.lists(st.integers(-3, 3), min_size=2 * g, max_size=2 * g)
+    spread = coords.filter(lambda v: sum(1 for a in v if a) >= 2)
+    basis = st.integers(0, 2 * g - 1).map(lambda i: [int(i == j) for j in range(2 * g)])
+    classes = draw(st.lists(st.one_of(spread, spread, basis), min_size=1, max_size=4))
+    table = {"c%d" % i: Curve("c%d" % i, HomologyClass(v)) for i, v in enumerate(classes)}
+    letter = st.tuples(
+        st.sampled_from(sorted(table)), st.integers(1, 3), st.sampled_from((1, -1))
+    ).map(lambda t: (t[0], t[1] * t[2]))
+    return table, TwistWord(tuple(draw(st.lists(letter, max_size=8))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_and_word())
+def test_word_matrix_matches_dense_oracle(table_word):
+    table, word = table_word
+    assert [list(r) for r in word_matrix(word, table).rows] == _oracle_word_rows(word, table)
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_catalog_word_matrices_match_dense_oracle(g):
+    for rel in builtin_catalog(g):
+        for word in (rel.lhs, rel.rhs):
+            got = [list(r) for r in word_matrix(word, rel.curves).rows]
+            assert got == _oracle_word_rows(word, rel.curves), rel.name
 
 
 def _relation(name, curves, lhs, rhs, inters=()):
