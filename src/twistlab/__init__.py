@@ -16,6 +16,7 @@ from .lattice import (
     basis_curve_class,
     basis_curve_name,
     choose_increasing_twist,
+    dual_terms,
     intersection,
     is_symplectic,
     iter_classes,
@@ -24,6 +25,7 @@ from .lattice import (
     standard_form,
     symplectic_basis,
     transvect,
+    transvection_matrix,
     twist_matrix,
     x_basis,
     y_basis,

@@ -33,7 +33,7 @@ from .fourier import (
 from .lattice import (
     HomologyClass,
     basis_curve_class,
-    intersection,
+    dual_terms,
     norm1,
     zero_class,
 )
@@ -208,10 +208,13 @@ def max_relation_residual(u, relations):
 
 
 def project_fixed(c, v):
-    "Projection onto the subspace fixed by the twist about the class c."
-    out = SparseVector.zero(v.genus, full=v.full)
-    out.coeffs = {m: val for m, val in v.coeffs.items() if intersection(c, m) == 0}
-    return out
+    """Projection onto the subspace fixed by the twist about the class c:
+    the points m with <c, m> = 0, read off the pairing row (dual_terms)."""
+    if c.genus != v.genus:
+        raise ValueError("genus mismatch: %d vs %d" % (c.genus, v.genus))
+    row = dual_terms(c)
+    table = {m: val for m, val in v.items() if not sum(w * m.coords[k] for k, w in row)}
+    return SparseVector._of_table(v.genus, table, v.full)
 
 
 def s_vector(u, curve, word=None):
@@ -259,18 +262,12 @@ class SmoothnessCheck:
     witnesses: tuple = ()
 
 
-def _basis_step(idx, coords):
-    # pairing of basis curve idx with the point; the twist about that
-    # curve shifts coordinate idx by this amount per application
-    dual = coords[idx ^ 1]
-    return dual if idx % 2 == 0 else -dual
-
-
-def _telescope(values):
+def _telescope(values, rows):
     """f_m = -(sum of the hits strictly up the increasing ray of m).
 
     values[idx] is u on basis curve idx; its points are the hits of the
-    twist's table.  The inverse twist's table u(t^-1) = -t^-1 u(t) is read
+    twist's table.  rows[idx] is the curve's pairing row, one (dual, w)
+    pair: the twist moves coordinate idx by <e_idx, m> = w m[dual] per step.  The inverse twist's table u(t^-1) = -t^-1 u(t) is read
     from the same points: each moves one step back along coordinate idx,
     and its coefficient is subtracted instead of added.
 
@@ -295,11 +292,11 @@ def _telescope(values):
     range(top, bottom - 1, -|step|).  _expand turns them into points.
     """
     lines = {}
-    for idx, v in enumerate(values):
+    for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
         handle = idx & ~1  # index of the handle's a-coordinate
         for m, val in v.items():
             coords = m.coords
-            step = _basis_step(idx, coords)
+            step = w * coords[dual]
             # a nonzero coordinate before the handle picks another ray
             if not step or any(coords[:handle]):
                 continue
@@ -350,12 +347,12 @@ def _run_range(run):
 
 def _expand(g, runs):
     "The vector holding each run's value at each of its points."
-    f = SparseVector.zero(g)
+    table = {}
     for run in runs:
         before, after, step, _, _, value = run
         for pt in _run_range(run):
-            f.coeffs[HomologyClass(before + ((pt if step > 0 else -pt),) + after)] = value
-    return f
+            table[HomologyClass(before + ((pt if step > 0 else -pt),) + after)] = value
+    return SparseVector._of_table(g, table, False)
 
 
 def solve_coboundary(u, relations=None):
@@ -381,9 +378,12 @@ def solve_coboundary(u, relations=None):
     (verify_relation) and resolve in u's generators; it may be evaluated
     only in part, or not at all.  relations=[] disables refusal.
     """
-    if not u.gens.has_symplectic_basis():
-        raise ValueError("solver needs all 2g basis twists among the generators")
     g = u.genus
+    basis = [u.gens.find_by_class(basis_curve_class(g, idx)) for idx in range(2 * g)]
+    if not all(basis):
+        raise ValueError("solver needs all 2g basis twists among the generators")
+    values = [u.value(gen.id) for gen in basis]
+    rows = [dual_terms(gen.cls)[0] for gen in basis]
 
     def refuse_non_cocycle():
         for rel in applicable_relations(u.gens) if relations is None else relations:
@@ -393,11 +393,7 @@ def solve_coboundary(u, relations=None):
                     "nonzero residual %s on relation %r" % (r, rel.name)
                 )
 
-    values = []
-    for idx in range(2 * g):
-        gen = u.gens.find_by_class(basis_curve_class(g, idx))
-        values.append(u.value(gen.id))
-    runs = _telescope(values)
+    runs = _telescope(values, rows)
     checked = False  # whether the relations have run
     if sum(len(_run_range(run)) for run in runs) > sum(len(v) for v in u.values.values()):
         refuse_non_cocycle()
@@ -418,10 +414,10 @@ def solve_coboundary(u, relations=None):
     # G reads the 4g basis twist values: u(t) and u(t^-1) = -t^-1 u(t), whose
     # points carry the same coefficients, with only coordinate idx moved
     def g_points():
-        for idx, v in enumerate(values):
+        for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
             for m, val in v.items():
                 n, a = norm1(m), m.coords[idx]
-                yield (n, n - abs(a) + abs(a - _basis_step(idx, m.coords))), val
+                yield (n, n - abs(a) + abs(a - w * m.coords[dual])), val
 
     orders = range(2, 6)
     decay = zip(

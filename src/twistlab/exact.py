@@ -145,7 +145,16 @@ class ExactSqrt:
         return bool(self.square)
 
     def __float__(self):
-        return sqrt(float(self.square))
+        """The nearest float; OverflowError if the root is past float range.
+
+        A square past float range can still have a root inside it, taken
+        from the integers as isqrt(n d) / d for square = n/d.
+        """
+        try:
+            return sqrt(float(self.square))
+        except OverflowError:
+            n, d = self.square.numerator, self.square.denominator
+            return isqrt(n * d) / d
 
     def _cmp(self, other):
         "-1/0/+1 against other, or None if incomparable."

@@ -8,9 +8,10 @@ numbers; evaluation at torus points is the only floating-point path.
 
 import cmath
 from fractions import Fraction
+from itertools import chain
 
 from .exact import ExactSqrt, GaussianRational, abs2_ratio
-from .lattice import HomologyClass, norm1
+from .lattice import HomologyClass, dual_terms, norm1
 
 
 class AliasingError(ValueError):
@@ -50,8 +51,13 @@ class SparseVector:
         """SparseVector(genus, pairs, full=full) for pairs already known to
         be (HomologyClass of this genus, GaussianRational): the same vector,
         without checking or coercing each pair again."""
-        out = cls.zero(genus, full=full)
-        out.coeffs = _summed(pairs, full)
+        return cls._of_table(genus, _summed(pairs, full), full)
+
+    @classmethod
+    def _of_table(cls, genus, table, full):
+        "The vector owning table, a dict already checked and summed as by _summed."
+        out = object.__new__(cls)
+        out.genus, out.coeffs, out.full = genus, table, full
         return out
 
     @classmethod
@@ -84,24 +90,14 @@ class SparseVector:
         return NotImplemented
 
     def _merge(self, other, sign):
-        # keys only the right side has are copied (negated when subtracting);
-        # exact arithmetic runs only where the supports collide
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-        table = dict(self.coeffs)
-        for m, val in other.coeffs.items():
-            old = table.get(m)
-            if old is None:
-                table[m] = val if sign > 0 else -val
-                continue
-            new = old + val if sign > 0 else old - val
-            if new:
-                table[m] = new
-            else:
-                del table[m]
-        out = SparseVector.zero(self.genus, full=self.full or other.full)
-        out.coeffs = table
-        return out
+        right = other.coeffs.items()
+        if sign < 0:
+            right = ((m, -val) for m, val in right)
+        full = self.full or other.full
+        table = _summed(chain(self.coeffs.items(), right), full)
+        return SparseVector._of_table(self.genus, table, full)
 
     def __add__(self, other):
         if not isinstance(other, SparseVector):
@@ -114,16 +110,12 @@ class SparseVector:
         return self._merge(other, -1)
 
     def __neg__(self):
-        out = SparseVector.zero(self.genus, full=self.full)
-        out.coeffs = {m: -v for m, v in self.coeffs.items()}
-        return out
+        return SparseVector._of_table(self.genus, {m: -v for m, v in self.items()}, self.full)
 
     def __mul__(self, scalar):
         scalar = GaussianRational.coerce(scalar)
-        out = SparseVector.zero(self.genus, full=self.full)
-        if scalar:
-            out.coeffs = {m: v * scalar for m, v in self.coeffs.items()}
-        return out
+        table = {m: v * scalar for m, v in self.coeffs.items()} if scalar else {}
+        return SparseVector._of_table(self.genus, table, self.full)
 
     __rmul__ = __mul__
 
@@ -162,9 +154,8 @@ def act(M, v):
     "Relabel the support by the matrix action; a basis permutation."
     if M.dim != 2 * v.genus:
         raise ValueError("dimension mismatch")
-    out = SparseVector.zero(v.genus, full=v.full)
-    out.coeffs = {M.apply(m): val for m, val in v.coeffs.items()}
-    return out
+    table = {M.apply(m): val for m, val in v.coeffs.items()}
+    return SparseVector._of_table(v.genus, table, v.full)
 
 
 def twist(c, n, v):
@@ -172,14 +163,13 @@ def twist(c, n, v):
     transvection m -> m + n <c, m> c.
 
     Only the coordinates where c is nonzero move, and <c, m> reads only
-    their partner coordinates (a_j pairs with b_j), so a point costs
-    O(|supp c|), not O(2g).
+    their partner coordinates (dual_terms), so a point costs O(|supp c|),
+    not O(2g).
     """
     if len(c.coords) != 2 * v.genus:
         raise ValueError("dimension mismatch")
     moves = [(k, a) for k, a in enumerate(c.coords) if a]
-    # <c, m> = sum_j c_aj m_bj - c_bj m_aj
-    reads = [(k ^ 1, n * a if k % 2 == 0 else -n * a) for k, a in moves]
+    reads = [(k, n * w) for k, w in dual_terms(c)]
     table = {}
     for m, val in v.coeffs.items():
         coords = m.coords
@@ -192,9 +182,7 @@ def twist(c, n, v):
                 moved[k] += t * a
             m = HomologyClass(moved)
         table[m] = val
-    out = SparseVector.zero(v.genus, full=v.full)
-    out.coeffs = table
-    return out
+    return SparseVector._of_table(v.genus, table, v.full)
 
 
 def signed_norm_sq(terms):

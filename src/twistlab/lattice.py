@@ -116,6 +116,12 @@ def basis_curve_name(index):
     return "%s%d" % (kind, index // 2 + 1)
 
 
+def dual_terms(c):
+    """The pairing row c^T J as (index, weight) pairs, one per nonzero
+    coordinate of c:  <c, m> = sum(w * m[k]), as a_j pairs with b_j."""
+    return tuple((k ^ 1, a if k % 2 == 0 else -a) for k, a in enumerate(c.coords) if a)
+
+
 def intersection(m, n):
     "Intersection pairing; +1 on each (a_j, b_j) pair, antisymmetric."
     _check_same_genus(m, n)
@@ -238,19 +244,21 @@ def standard_form(g):
     return SymplecticMatrix(_standard_form_rows(2 * g))
 
 
+def transvection_matrix(steps, g):
+    """Matrix of the product of the twists in steps, (class, exponent) pairs
+    in word order: column j is the basis class e_j pushed through the steps,
+    last step first, by transvect, O(g^2) per step with no dense product."""
+    cols = []
+    for m in symplectic_basis(g):
+        for c, n in reversed(steps):
+            m = transvect(c, n, m)
+        cols.append(m.coords)
+    return SymplecticMatrix(zip(*cols))
+
+
 def twist_matrix(c, n=1):
     "Matrix of the n-fold twist about c:  I + n c (c^T J)."
-    coords = c.coords
-    dim = len(coords)
-    # the row c^T J: (-b1, a1, ..., -bg, ag)
-    w = [0] * dim
-    w[0::2] = [-b for b in coords[1::2]]
-    w[1::2] = coords[0::2]
-    rows = tuple(
-        tuple((1 if i == j else 0) + n * coords[i] * w[j] for j in range(dim))
-        for i in range(dim)
-    )
-    return SymplecticMatrix(rows)
+    return transvection_matrix(((c, n),), c.genus)
 
 
 def is_symplectic(M):

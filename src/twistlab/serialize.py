@@ -8,17 +8,22 @@ so output is byte-stable.  A rational is written "n" or "n/d" with
 decimal digits, an optional sign on n and d > 0; exponents, decimal
 points and spaces are refused, so parsing costs no more than the input
 is long.  A text coordinate is "n" in the same grammar: ASCII digits
-only, no "_" separators.  JSON decoders take integers and booleans only
-as JSON integers and booleans, rationals, names and curve ids only as
-JSON strings, and objects and arrays only where the format has them: a
-float, a string or a bool where an integer belongs, a non-bool where a
-flag belongs, a number where a string belongs or a list where an object
-belongs is a ValueError that names the field, never a silent coercion
-or a crash.  The error quotes the refused value, cut after 80 characters.
+only, no "_" separators.  An integer in either longer than
+sys.get_int_max_str_digits() is refused with an error naming its field,
+while an emitted rational is printed in full at any length.  JSON
+decoders take integers and booleans only as JSON integers and booleans,
+rationals, names and curve ids only as JSON strings, and objects and
+arrays only where the format has them: a float, a string or a bool where
+an integer belongs, a non-bool where a flag belongs, a number where a
+string belongs or a list where an object belongs is a ValueError that
+names the field, never a silent coercion or a crash.  The error quotes
+the refused value, cut after 80 characters.
 """
 
 import json
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .cohomology import Cocycle, GeneratorSet, SolveReport
@@ -29,7 +34,16 @@ from .words import Curve, RelationInstance, TwistWord
 
 
 def format_fraction(q):
-    return "%d/%d" % (q.numerator, q.denominator)
+    try:
+        return "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:
+        # past sys.get_int_max_str_digits(), which %d honours and Decimal does not
+        return "%s/%s" % (Decimal(q.numerator), Decimal(q.denominator))
+
+
+def _too_long(field):
+    "The refusal of an integer string that int() takes past the digit limit."
+    return ValueError("%s has more than %d digits" % (field, sys.get_int_max_str_digits()))
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -43,10 +57,13 @@ def parse_fraction(s, field="rational"):
     if match is None:
         raise ValueError("%s must be a rational 'n' or 'n/d', got %r" % (field, s))
     num, den = match.groups()
-    den = int(den) if den else 1
+    try:
+        num, den = int(num), int(den) if den else 1
+    except ValueError:
+        raise _too_long(field) from None
     if not den:
         raise ValueError("zero denominator in %r for %s" % (s, field))
-    return Fraction(int(num), den)
+    return Fraction(num, den)
 
 
 def format_class(m):
@@ -58,7 +75,10 @@ def _parse_coords(toks, where):
     for tok in toks:
         if _INTEGER.fullmatch(tok) is None:
             raise ValueError("%s: coordinate %r must be an integer" % (where, tok))
-    return tuple(int(tok) for tok in toks)
+    try:
+        return tuple(int(tok) for tok in toks)
+    except ValueError:
+        raise _too_long(where + ": a coordinate") from None
 
 
 def parse_class(text, genus=None):
@@ -138,7 +158,12 @@ def matrix_from_json(rows):
 
 
 def sqrt_to_json(x):
-    return {"square": format_fraction(x.square), "approx": float(x)}
+    "The exact square and its root as a float, or None past float range."
+    try:
+        approx = float(x)
+    except OverflowError:
+        approx = None
+    return {"square": format_fraction(x.square), "approx": approx}
 
 
 def sqrt_from_json(obj, field="'square'"):

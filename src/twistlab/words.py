@@ -19,8 +19,8 @@ from .lattice import (
     intersection,
     iter_classes,
     norm1,
-    symplectic_basis,
     transvect,
+    transvection_matrix,
     twist_matrix,
     x_basis,
     y_basis,
@@ -105,28 +105,18 @@ class RelationInstance:
 
 
 def word_matrix(word, curves):
-    """Product of the twist matrices of the word's letters, in word order.
-
-    Built column by column: column j is the basis class e_j pushed through
-    the letters from the right end by transvect, O(g^2) per letter with no
-    dense product.  A letter whose class has another genus than the
-    table's first curve raises ValueError ("genus mismatch").
+    """Product of the twist matrices of the word's letters, in word order,
+    by transvection_matrix.  A letter whose class has another genus than
+    the table's first curve raises ValueError ("genus mismatch").
     """
     table = curves if isinstance(curves, dict) else {c.id: c for c in curves}
     if not table:
         raise ValueError("empty curve table")
-    steps = []
-    for cid, e in word.letters:
-        if cid not in table:
-            raise ValueError("unresolved curve id %r" % cid)
-        steps.append((table[cid].cls, e))
-    steps.reverse()
-    cols = []
-    for m in symplectic_basis(next(iter(table.values())).cls.genus):
-        for c, e in steps:
-            m = transvect(c, e, m)
-        cols.append(m.coords)
-    return SymplecticMatrix(zip(*cols))
+    try:
+        steps = [(table[cid].cls, e) for cid, e in word.letters]
+    except KeyError as exc:
+        raise ValueError("unresolved curve id %r" % exc.args[0]) from None
+    return transvection_matrix(steps, next(iter(table.values())).cls.genus)
 
 
 def check_metadata(rel):

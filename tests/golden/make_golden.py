@@ -43,6 +43,7 @@ CASES = {
     "solve-refused-guard-g3": ["solve", "--genus", "3", "--in", "@guard-g3.json"],
     "check-cocycle-clean-g3": ["check-cocycle", "--in", "@clean-g3.json"],
     "check-cocycle-perturbed-g4": ["check-cocycle", "--in", "@perturbed-g4.json"],
+    "check-cocycle-extra-gen-g4": ["check-cocycle", "--in", "@extra-gen-g4.json"],
     "decay-report-text-g4": ["decay-report", "--in", "@vector-g4.txt", "--kmax", "5"],
     "decay-report-json-g3": [
         "decay-report", "--in", "@vector-g3.json", "--kmax", "4", "--format", "json",

@@ -1,5 +1,7 @@
+import csv
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from twistlab import (
     GeneratorSet,
     HomologyClass,
     SparseVector,
+    basis_curves,
     builtin_catalog,
     c_pairing,
     coboundary,
@@ -310,6 +313,60 @@ def test_decay_report_rejects_a_negative_kmax(tmp_path, capsys):
     assert run(["decay-report", "--in", str(text), "--kmax", "-3"]) == 2
     assert capsys.readouterr() == ("", "error: kmax must be nonnegative\n")
     assert run(["decay-report", "--in", str(text), "--kmax", "0"]) == 0
+
+
+def _decay_rows(tmp_path, capsys, line, kmax, fmt):
+    "The rows of a decay-report on the one-line vector, which exits 0."
+    text = tmp_path / "vec.txt"
+    text.write_text(line + "\n")
+    assert run(["decay-report", "--in", str(text), "--kmax", str(kmax), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        rows = csv.reader(out.splitlines()[1:])
+        return [(square, float(approx) if approx else None) for _, square, approx in rows]
+    return [(row["F"]["square"], row["F"]["approx"]) for row in json.loads(out)["constants"]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_decay_report_squares_past_float_range(tmp_path, capsys, fmt):
+    # F_k = 1000^k: from k = 52 on the square is past float range, and from
+    # k = 103 on the root is too, which the report gives as a null approx
+    rows = _decay_rows(tmp_path, capsys, "1000 0 0 0 0 0  1/1  0/1", 110, fmt)
+    assert [square for square, _ in rows] == ["%d/1" % 10 ** (6 * k) for k in range(111)]
+    for k, (_, approx) in enumerate(rows):
+        if k <= 102:
+            assert approx == pytest.approx(10.0 ** (3 * k), rel=1e-15)
+        else:
+            assert approx is None
+    assert rows[60] == ("1" + "0" * 360 + "/1", 1e180)
+
+
+def test_solve_reports_squares_past_float_range(tmp_path, capsys):
+    # u(y1) = A e_(1,0) - A e_(1,-1) is the only nonzero value, so
+    # F_k^2 = A^2 and G_(k+1)^2 = 4^(k+1) A^2 with A = 10^200
+    A = 10**200
+    f = SparseVector.basis(HomologyClass((1, 0, 0, 0, 0, 0)), A)
+    infile = _write(tmp_path / "u.json", ser.cocycle_to_json(coboundary(f, basis_curves(G))))
+    assert run(["solve", "--genus", "3", "--in", infile]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [e["k"] for e in report["decay"]] == [2, 3, 4, 5]
+    for e in report["decay"]:
+        assert e["F"] == {"square": "%d/1" % A**2, "approx": 1e200}
+        scale = 2 ** (e["k"] + 1)
+        assert e["G"] == {"square": "%d/1" % (scale**2 * A**2), "approx": scale * 1e200}
+
+
+def test_integers_past_the_digit_limit_are_printed_in_full(tmp_path, capsys):
+    # the input rational has 2,201 digits, within the limit; its square does not fit
+    line = "1 0 0 0 0 0  1%s/1  0/1" % ("0" * 2200)
+    ((square, approx),) = _decay_rows(tmp_path, capsys, line, 0, "json")
+    assert square == "1" + "0" * 4400 + "/1" and approx is None
+    assert len(square) - 2 > sys.get_int_max_str_digits()
+    f = SparseVector.basis(HomologyClass((1, 0, 0, 0, 0, 0)), 10**2200)
+    infile = _write(tmp_path / "u.json", ser.cocycle_to_json(coboundary(f, basis_curves(G))))
+    assert run(["solve", "--in", infile]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decay"][0]["F"] == {"square": "1" + "0" * 4400 + "/1", "approx": None}
 
 
 def test_reports_byte_stable(tmp_path, capsys):

@@ -33,6 +33,7 @@ from twistlab import (
     s_vector,
     smoothness_report,
     solve_coboundary,
+    transvect,
     twist_matrix,
     word_matrix,
     x_basis,
@@ -246,6 +247,37 @@ def test_project_fixed():
         p = project_fixed(c, v)
         assert project_fixed(c, p) == p
         assert inner(p, w) == inner(v, project_fixed(c, w))
+
+
+@st.composite
+def _class_and_vector(draw):
+    """At g = 3..6, a basis class or one with several nonzero coordinates,
+    and a vector of up to 12 points, full or mean-zero."""
+    g = draw(st.integers(3, 6))
+    coords = st.lists(st.integers(-2, 2), min_size=2 * g, max_size=2 * g)
+    spread = coords.filter(lambda v: sum(1 for a in v if a) >= 2)
+    basis = st.integers(0, 2 * g - 1).map(lambda i: [int(i == j) for j in range(2 * g)])
+    c = HomologyClass(draw(st.one_of(basis, spread)))
+    full = draw(st.booleans())
+    points = (coords if full else coords.filter(any)).map(HomologyClass)
+    v = SparseVector(g, draw(st.dictionaries(points, _scalars(), max_size=12)), full=full)
+    return c, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_and_vector())
+def test_project_fixed_keeps_the_points_the_twist_fixes(cv):
+    c, v = cv
+    fixed = {m: val for m, val in v.items() if transvect(c, 1, m) == m}
+    got = project_fixed(c, v)
+    assert got == SparseVector(v.genus, fixed, full=v.full)
+    assert got.full == v.full
+
+
+def test_project_fixed_refuses_a_class_of_another_genus():
+    for v in (SparseVector.zero(4), SparseVector.basis(x_basis(4, 1))):
+        with pytest.raises(ValueError, match="genus mismatch: 3 vs 4"):
+            project_fixed(x_basis(3, 1), v)
 
 
 def test_s_vector_vanishes_for_coboundaries():

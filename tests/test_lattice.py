@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import (
     HomologyClass,
@@ -9,6 +10,7 @@ from twistlab import (
     basis_curve_class,
     basis_curve_name,
     choose_increasing_twist,
+    dual_terms,
     intersection,
     is_symplectic,
     iter_classes,
@@ -131,6 +133,36 @@ def test_twist_matrix_against_transvect():
         m = rand_class(rng, G, 4, nonzero=False)
         assert apply(twist_matrix(c), m) == transvect(c, 1, m)
         assert twist_matrix(c).rows == tuple(tuple(r) for r in oracle_transvection_rows(c))
+
+
+@st.composite
+def _spread_class_and_exponent(draw):
+    "A class with two or more nonzero coordinates at g = 3..6, and n in +-1..+-5."
+    g = draw(st.integers(3, 6))
+    coords = st.lists(st.integers(-4, 4), min_size=2 * g, max_size=2 * g)
+    c = draw(coords.filter(lambda v: sum(1 for a in v if a) >= 2))
+    return HomologyClass(c), draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spread_class_and_exponent())
+def test_twist_matrix_matches_the_closed_form_oracle(cn):
+    c, n = cn
+    assert twist_matrix(c, n).rows == tuple(tuple(r) for r in oracle_transvection_rows(c, n))
+
+
+def test_dual_terms_is_the_pairing_row():
+    rng = random.Random(104)
+    for g in (3, 4, 6):
+        for _ in range(50):
+            c = rand_class(rng, g, 5, nonzero=False)
+            m = rand_class(rng, g, 5, nonzero=False)
+            row = dual_terms(c)
+            assert len(row) == sum(1 for a in c.coords if a)
+            assert sum(w * m.coords[k] for k, w in row) == oracle_intersection(c, m)
+    assert dual_terms(x_basis(G, 2)) == ((3, 1),)
+    assert dual_terms(y_basis(G, 2)) == ((2, -1),)
+    assert dual_terms(zero_class(G)) == ()
 
 
 def test_twist_matrix_block_action():

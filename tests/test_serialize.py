@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import sys
@@ -154,6 +155,31 @@ def test_sqrt_json():
     obj = ser.sqrt_to_json(x)
     assert obj["square"] == "9/4" and obj["approx"] == 1.5
     assert ser.sqrt_from_json(obj) == x
+
+
+def test_integers_past_the_digit_limit_are_refused_by_field():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text in (long, "-" + long, "1/" + long):
+        with pytest.raises(ValueError, match="^'re' has more than %d digits$" % limit):
+            ser.parse_fraction(text, "'re'")
+    with pytest.raises(ValueError, match="^'im' on line 2 has more than %d digits$" % limit):
+        ser.parse_sparse_lines("1 0 0 0 0 0  1/2  0/1\n0 1 0 0 0 0  1/2  %s\n" % long)
+    with pytest.raises(ValueError, match="^line 2: a coordinate has more than %d digits$" % limit):
+        ser.parse_sparse_lines("1 0 0 0 0 0  1/2  0/1\n%s 1 0 0 0 0  1/2  0/1\n" % long)
+    obj = ser.sparse_to_json(SparseVector.basis(x_basis(G, 1)))
+    obj["coefficients"][0]["re"] = long
+    with pytest.raises(ValueError, match="'re' of the coefficient at 1 0 0 0 0 0 has more"):
+        ser.sparse_from_json(obj)
+
+
+def test_sqrt_json_past_float_range():
+    big = ser.sqrt_to_json(ExactSqrt(10**400))
+    assert big == {"square": "1%s/1" % ("0" * 400), "approx": 1e200}
+    assert ser.sqrt_to_json(ExactSqrt(Fraction(10**700, 3)))["approx"] is None
+    # inside float range the approx stays sqrt(float(square)), byte for byte
+    x = ExactSqrt(Fraction(10**300, 7))
+    assert ser.sqrt_to_json(x)["approx"] == math.sqrt(float(x.square))
 
 
 def test_json_decoders_take_only_json_integers_and_booleans():
