@@ -48,11 +48,15 @@ def _read_infile(args):
 
 
 def _decode_json(args, text):
-    "The JSON document text of --in; nesting too deep to decode is a ValueError."
+    "The JSON document text of --in; too deep a nesting or too long an integer is a ValueError."
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("%s: JSON nested too deeply to decode" % args.infile) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() of an integer's digits
+        raise serialize._too_long("%s: a JSON integer" % args.infile) from None
 
 
 def _load_cocycle(args):

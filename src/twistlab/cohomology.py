@@ -267,29 +267,28 @@ def _telescope(values, rows):
 
     values[idx] is u on basis curve idx; its points are the hits of the
     twist's table.  rows[idx] is the curve's pairing row, one (dual, w)
-    pair: the twist moves coordinate idx by <e_idx, m> = w m[dual] per step.  The inverse twist's table u(t^-1) = -t^-1 u(t) is read
-    from the same points: each moves one step back along coordinate idx,
-    and its coefficient is subtracted instead of added.
+    pair: the twist moves coordinate idx by <e_idx, m> = w m[dual] per
+    step.  The inverse twist's table u(t^-1) = -t^-1 u(t) is read from the
+    same points: each moves one step back along coordinate idx, and its
+    coefficient is subtracted instead of added.
 
     The twist about basis curve idx moves only coordinate idx, by the fixed
     dual coordinate per step, so every ray lies on one coordinate line.
-    The hits of each table are grouped by line (index, sign, the other
-    coordinates, coordinate mod step) and walked inward from the outermost
-    one, carrying the sum of the hits already passed as unreduced integer
-    ratios; wherever that sum is nonzero, it is reduced once and every
-    point of the line that chooses this ray gets -sum.
+    The hits of each table are grouped by line (index, sign, step, the
+    other coordinates, coordinate mod step) and walked inward from the
+    outermost one, carrying the sum of the hits already passed as
+    unreduced integer ratios; wherever that sum is nonzero, it is reduced
+    once and every point of the line that chooses this ray gets -sum.
 
-    Along a line, s is the coordinate measured in the ray direction.  The
+    Along a line, with s the coordinate measured in the ray direction, the
     points choosing an odd (y-type) index form the half-line s >= 0
     (sign +1) or s >= 1 (sign -1), where the b-coordinate crosses 0; an
     even (x-type) index is chosen, with sign +1, only at s = 0.  Every
     emitted point lies strictly below a hit, so inside the ball of the
     generator supports.
 
-    Returns the stretches as runs (before, after, step, top, bottom, value),
-    at most one per hit: value sits at every point before + (s,) + after,
-    with s the coordinate in the ray direction (sign of step) running over
-    range(top, bottom - 1, -|step|).  _expand turns them into points.
+    Returns the stretches as runs (before, after, span, value), at most one
+    per hit: value sits at before + (a,) + after for every a in the range span.
     """
     lines = {}
     for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
@@ -302,25 +301,20 @@ def _telescope(values, rows):
                 continue
             before, after, a = coords[:idx], coords[idx + 1 :], coords[idx]
             hit = val.ratios()
-            key = (idx, 1, step, before, after, a % abs(step))
-            lines.setdefault(key, []).append((a if step > 0 else -a, hit))
-            if idx == handle:
-                continue  # no point chooses an x-type ray with sign -1
-            a -= step  # the inverse twist moves the point one step back
-            key = (idx, -1, -step, before, after, a % abs(step))
-            lines.setdefault(key, []).append((-a if step > 0 else a, hit))
+            # t^-1 moves the point one step back; no point takes an x-type ray with sign -1
+            for eps, pos in ((1, a), (-1, a - step)) if idx != handle else ((1, a),):
+                key = (idx, eps, eps * step, before, after, pos % abs(step))
+                lines.setdefault(key, []).append((pos, hit))
 
     runs = []
     for (idx, eps, step, before, after, _), hits in lines.items():
-        width = abs(step)
-        lo = 1 if eps < 0 else 0
-        hi = 0 if idx % 2 == 0 else None
-        hits.sort(key=lambda hit: hit[0], reverse=True)
+        hits.sort(key=lambda hit: hit[0] * step, reverse=True)  # outermost first
         # the running sum of the u(t) coefficients: re = p/q, im = r/t
         p, q, r, t = 0, 1, 0, 1
-        for i, (s, (hp, hq, hr, ht)) in enumerate(hits):
-            top = s - width
-            if top < lo:
+        for i, (a, (hp, hq, hr, ht)) in enumerate(hits):
+            # a - j step is on this sign's half-line for 1 <= j <= last (a / step = s / |step|)
+            last = a // step if eps > 0 else -(-a // step) - 1
+            if last < 1:
                 break
             p, q = (p + hp, q) if q == hq else (p * hq + hp * q, q * hq)
             r, t = (r + hr, t) if t == ht else (r * ht + hr * t, t * ht)
@@ -330,28 +324,22 @@ def _telescope(values, rows):
             re, im = Fraction(p, q), Fraction(r, t)
             p, q = re.as_integer_ratio()
             r, t = im.as_integer_ratio()
-            if hi is not None:
-                top = min(top, hi - (hi - s) % width)
-            bottom = max(hits[i + 1][0], lo) if i + 1 < len(hits) else lo
+            first = 1 if idx % 2 else -(-a // step)  # an x-type ray: s = 0 only
+            if i + 1 < len(hits):
+                last = min(last, (a - hits[i + 1][0]) // step)  # down to the next hit
+            span = range(a - first * step, a - (last + 1) * step, -step)
             # f = -(sum of the table values); the inverse table holds -u(t)
             value = GaussianRational(-re, -im) if eps > 0 else GaussianRational(re, im)
-            runs.append((before, after, step, top, bottom, value))
+            runs.append((before, after, span, value))
     return runs
-
-
-def _run_range(run):
-    "The ray-direction coordinates of a run's points."
-    _, _, step, top, bottom, _ = run
-    return range(top, bottom - 1, -abs(step))
 
 
 def _expand(g, runs):
     "The vector holding each run's value at each of its points."
     table = {}
-    for run in runs:
-        before, after, step, _, _, value = run
-        for pt in _run_range(run):
-            table[HomologyClass(before + ((pt if step > 0 else -pt),) + after)] = value
+    for before, after, span, value in runs:
+        for a in span:
+            table[HomologyClass(before + (a,) + after)] = value
     return SparseVector._of_table(g, table, False)
 
 
@@ -395,7 +383,7 @@ def solve_coboundary(u, relations=None):
 
     runs = _telescope(values, rows)
     checked = False  # whether the relations have run
-    if sum(len(_run_range(run)) for run in runs) > sum(len(v) for v in u.values.values()):
+    if sum(len(span) for _, _, span, _ in runs) > sum(len(v) for v in u.values.values()):
         refuse_non_cocycle()
         checked = True
     f = _expand(g, runs)
@@ -411,13 +399,13 @@ def solve_coboundary(u, relations=None):
             checked = True
         residual_sq = max(residual_sq, term)
 
-    # G reads the 4g basis twist values: u(t) and u(t^-1) = -t^-1 u(t), whose
-    # points carry the same coefficients, with only coordinate idx moved
+    # G reads the 4g basis twist values: u(t) and u(t^-1) = -t^-1 u(t) carry the
+    # same coefficient at p and t^-1 p, so p counts once, at the larger norm
     def g_points():
         for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
             for m, val in v.items():
                 n, a = norm1(m), m.coords[idx]
-                yield (n, n - abs(a) + abs(a - w * m.coords[dual])), val
+                yield max(n, n - abs(a) + abs(a - w * m.coords[dual])), val
 
     orders = range(2, 6)
     decay = zip(

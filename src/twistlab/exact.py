@@ -6,9 +6,28 @@ square roots of rationals, so they are kept as their (rational) squares
 and compared that way.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, sqrt
+
+
+def format_int(n):
+    "n in decimal at any length: %d stops at sys.get_int_max_str_digits(), Decimal does not."
+    try:
+        return "%d" % n
+    except ValueError:
+        return str(Decimal(n))
+
+
+def format_fraction(q):
+    "q as 'n/d' with d > 0."
+    return "%s/%s" % (format_int(q.numerator), format_int(q.denominator))
+
+
+def _str(q):
+    "q as str(Fraction) prints it, 'n' or 'n/d'."
+    return format_int(q.numerator) if q.denominator == 1 else format_fraction(q)
 
 
 def _frac(x):
@@ -109,12 +128,12 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        return "GaussianRational(%s, %s)" % (self.re, self.im)
+        return "GaussianRational(%s, %s)" % (_str(self.re), _str(self.im))
 
     def __str__(self):
         if not self.im:
-            return str(self.re)
-        return "%s%+si" % (self.re, self.im)
+            return _str(self.re)
+        return "%s%s%si" % (_str(self.re), "+" if self.im > 0 else "-", _str(abs(self.im)))
 
 
 @total_ordering
@@ -200,10 +219,10 @@ class ExactSqrt:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return "ExactSqrt(%s)" % (self.square,)
+        return "ExactSqrt(%s)" % _str(self.square)
 
     def __str__(self):
         f = self.as_fraction()
         if f is not None:
-            return str(f)
-        return "sqrt(%s)" % (self.square,)
+            return _str(f)
+        return "sqrt(%s)" % _str(self.square)

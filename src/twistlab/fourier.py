@@ -316,25 +316,22 @@ def grid_mean(v, N):
 
 
 def decay_from_norms(points, orders):
-    """Per order k, the smallest F with n^k |coeff| <= F over the
-    (norms, coeff) pairs of points, n running over the norms of the
-    support points that carry coeff (0 if there are none).
+    """Per order k, the smallest F with n^k |coeff| <= F over the (n, coeff) points (0 if none).
 
     Every |coeff|^2 is an unreduced integer ratio, computed once per pair,
-    and only the largest one per n can attain a maximum; both maxima are
-    taken by cross-multiplication, so the one Fraction built per order is
-    the printed square.
+    and only the largest one per norm can attain a maximum; both maxima
+    are taken by cross-multiplication, so the one Fraction built per order
+    is the printed square.
     """
     orders = tuple(orders)
     if any(k < 0 for k in orders):
         raise ValueError("k must be nonnegative")
     peak = {}
-    for norms, val in points:
+    for n, val in points:
         num, den = abs2_ratio(*val.ratios())
-        for n in norms:
-            old = peak.get(n)
-            if old is None or num * old[1] > old[0] * den:
-                peak[n] = (num, den)
+        old = peak.get(n)
+        if old is None or num * old[1] > old[0] * den:
+            peak[n] = (num, den)
     out = []
     for k in orders:
         best_num, best_den = 0, 1
@@ -349,7 +346,7 @@ def decay_from_norms(points, orders):
 def decay_constants(vectors, orders):
     """Per order k, the smallest F with norm1(m)^k |coeff| <= F over the
     supports of all the vectors (0 if they are all empty)."""
-    points = (((norm1(m),), val) for v in vectors for m, val in v.items())
+    points = ((norm1(m), val) for v in vectors for m, val in v.items())
     return decay_from_norms(points, orders)
 
 

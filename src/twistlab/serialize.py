@@ -23,22 +23,13 @@ the refused value, cut after 80 characters.
 import json
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from .cohomology import Cocycle, GeneratorSet, SolveReport
-from .exact import ExactSqrt, GaussianRational
+from .exact import ExactSqrt, GaussianRational, format_fraction
 from .fourier import SparseVector
 from .lattice import HomologyClass, SymplecticMatrix
 from .words import Curve, RelationInstance, TwistWord
-
-
-def format_fraction(q):
-    try:
-        return "%d/%d" % (q.numerator, q.denominator)
-    except ValueError:
-        # past sys.get_int_max_str_digits(), which %d honours and Decimal does not
-        return "%s/%s" % (Decimal(q.numerator), Decimal(q.denominator))
 
 
 def _too_long(field):

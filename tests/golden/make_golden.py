@@ -41,6 +41,7 @@ CASES = {
     "solve-residual-g4": ["solve", "--genus", "4", "--in", "@extra-gen-g4.json"],
     "solve-refused-g4": ["solve", "--genus", "4", "--in", "@perturbed-g4.json"],
     "solve-refused-guard-g3": ["solve", "--genus", "3", "--in", "@guard-g3.json"],
+    "solve-refused-long-residual-g3": ["solve", "--in", "@long-residual-g3.json"],
     "check-cocycle-clean-g3": ["check-cocycle", "--in", "@clean-g3.json"],
     "check-cocycle-perturbed-g4": ["check-cocycle", "--in", "@perturbed-g4.json"],
     "check-cocycle-extra-gen-g4": ["check-cocycle", "--in", "@extra-gen-g4.json"],
@@ -110,6 +111,14 @@ def write_inputs():
     values = {c.id: SparseVector.zero(3) for c in gens3}
     values["y1"] = SparseVector.basis(HomologyClass((1, 10**6, 0, 0, 0, 0)))
     (HERE / "guard-g3.json").write_text(_dump(ser.cocycle_to_json(Cocycle(gens3, values))))
+
+    # u(x1) = 10^2200 e_p, p as in perturbed-g4: refused at commuting-x1-x2
+    # with a residual square of 4,401 digits, past the integer-string limit
+    values = {c.id: SparseVector.zero(3) for c in gens3}
+    values["x1"] = SparseVector.basis(HomologyClass((0, 0, 0, 2, 1, 0)), 10**2200)
+    (HERE / "long-residual-g3.json").write_text(
+        _dump(ser.cocycle_to_json(Cocycle(gens3, values)))
+    )
 
     (HERE / "vector-g4.txt").write_text(
         ser.format_sparse_lines(rand_sparse(rng, 4, 12, num_bound=10**4, den_bound=10**3))

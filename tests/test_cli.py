@@ -545,6 +545,18 @@ def test_json_nested_too_deeply_is_refused(tmp_path, capsys, command):
     _refused(capsys, [command, "--in", str(infile)], "%s: JSON nested too deeply" % infile)
 
 
+@pytest.mark.parametrize("command", ["solve", "check-cocycle", "decay-report", "verify-relations"])
+def test_a_json_integer_past_the_digit_limit_is_refused_by_file(tmp_path, capsys, command):
+    digits = "1" + "0" * 4999
+    infile = tmp_path / "long.json"
+    infile.write_text(
+        '{"genus": 3, "coefficients": [{"class": [%s, 0, 0, 0, 0, 0], "re": "1", "im": "0"}]}'
+        % digits
+    )
+    field = "%s: a JSON integer has more than %d digits" % (infile, sys.get_int_max_str_digits())
+    _refused(capsys, [command, "--in", str(infile)], field)
+
+
 def test_a_long_refused_value_is_cut_in_its_error(tmp_path, capsys):
     infile = _write(tmp_path / "long.json", {"genus": [0] * 10**6})
     assert run(["check-cocycle", "--in", infile]) == 2

@@ -22,6 +22,7 @@ from twistlab import (
     builtin_catalog,
     c_pairing,
     coboundary,
+    dual_terms,
     expansion_terms,
     extend,
     inner,
@@ -514,7 +515,7 @@ def test_a_long_telescope_runs_the_relations_first(monkeypatch):
     # 10^9 points, so the relations run before it is expanded
     def bounded_expand(g, runs):
         # fail fast instead of filling memory if the guard ever breaks
-        assert sum(len(cohomology._run_range(run)) for run in runs) < 10**6
+        assert sum(len(span) for _, _, span, _ in runs) < 10**6
         return real_expand(g, runs)
 
     real_expand = cohomology._expand
@@ -628,23 +629,63 @@ def test_smoothness_random_round_trips():
         assert all(c.passed for c in smoothness_report(rep, kmax=5))
 
 
-def test_decay_table_holds_basis_twist_value_constants():
+# coordinates up to 300 move a point both towards and away from 0, so the
+# norm of t^-1 p falls both above and below that of p; zeros and small
+# coordinates put points on the rays the telescope walks
+_coord300 = st.one_of(st.sampled_from((0, 1, -1, 2)), st.integers(-300, 300))
+_coeff = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+
+
+@st.composite
+def _basis_cocycle(draw):
+    """A coboundary or an arbitrary cocycle on the 2g basis twists, g = 3..6.
+    The points of each vector come a few to a line along one coordinate, so
+    the telescope meets several hits on one line."""
+    g = draw(st.integers(3, 6))
+    coords = st.lists(_coord300, min_size=2 * g, max_size=2 * g)
+
+    def vector(idx):
+        table = {}
+        for base in draw(st.lists(coords, max_size=3)):
+            for a in draw(st.lists(_coord300, min_size=1, max_size=3)):
+                point = tuple(base[:idx] + [a] + base[idx + 1 :])
+                if any(point):
+                    table[HomologyClass(point)] = GaussianRational(draw(_coeff), draw(_coeff))
+        return SparseVector(g, table)
+
+    gens = GeneratorSet.symplectic_basis(g)
+    if draw(st.booleans()):
+        return coboundary(vector(draw(st.integers(0, 2 * g - 1))), gens)
+    return Cocycle(gens, {c.id: vector(idx) for idx, c in enumerate(gens)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(_basis_cocycle())
+def test_decay_table_holds_basis_twist_value_constants(u):
     # G_{k+1} in the report is the largest norm1^(k+1) |coeff| over the
     # values of the basis twists and their inverses, here read through
     # the dense twist matrices
-    gens = basis_gens()
-    rng = random.Random(425)
-    f = rand_sparse(rng, G, 20)
-    u = coboundary(f, gens)
-    rep = solve_coboundary(u)
+    rep = solve_coboundary(u, relations=[])
     values = []
-    for curve in gens:
+    for curve in u.gens:
         vp = u.value(curve.id)
         values += [vp, -act(twist_matrix(curve.cls, -1), vp)]
     for k, fk, gk in rep.decay:
-        want = max(norm1(m) ** (2 * (k + 1)) * val.abs2() for v in values for m, val in v.items())
-        assert gk.square == want
-        assert fk.square == max(norm1(m) ** (2 * k) * val.abs2() for m, val in f.items())
+        want = [norm1(m) ** (2 * (k + 1)) * val.abs2() for v in values for m, val in v.items()]
+        assert gk.square == max(want, default=0)
+        have = [norm1(m) ** (2 * k) * val.abs2() for m, val in rep.f.items()]
+        assert fk.square == max(have, default=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_basis_cocycle())
+def test_the_telescope_runs_cover_f_once(u):
+    # the guard counts f's points as the sum of the run lengths, which
+    # holds because no two runs share a point
+    values = [u.value(curve.id) for curve in u.gens]
+    rows = [dual_terms(curve.cls)[0] for curve in u.gens]
+    runs = cohomology._telescope(values, rows)
+    assert sum(len(span) for _, _, span, _ in runs) == len(solve_coboundary(u, relations=[]).f)
 
 
 def test_smoothness_report_rechecks_a_saved_report():

@@ -367,3 +367,8 @@ def test_exact_sqrt_behaviour():
     assert max(ExactSqrt(2), ExactSqrt(3)) == ExactSqrt(3)
     assert str(ExactSqrt(Fraction(9, 4))) == "3/2"
     assert str(ExactSqrt(2)) == "sqrt(2)"
+    # a square past the integer-string limit prints in full
+    assert str(ExactSqrt(2 * 10**4400)) == "sqrt(2%s)" % ("0" * 4400)
+    assert str(GaussianRational(Fraction(1, 2), Fraction(1, 3))) == "1/2+1/3i"
+    assert str(GaussianRational(1, -2)) == "1-2i"
+    assert str(GaussianRational(0, 5)) == "0+5i"
