@@ -123,9 +123,17 @@ def cmd_orbit(args):
         raise ValueError("steps must be at least 1")
     idx, eps = choose_increasing_twist(m)
     ray = orbit_ray(basis_curve_class(m.genus, idx), eps, m, args.steps + 1)
+    norms = [norm1(point) for point in ray]
+    # norm1 grows along the ray and bounds every coordinate, so if the last
+    # one prints, every row does
+    limit = sys.get_int_max_str_digits()
+    if limit and norms[-1] >= 10**limit:
+        too_long = 10**limit
+        step = next(n for n, norm in enumerate(norms) if norm >= too_long)
+        raise serialize._too_long("norm1 at step %d of the ray" % step)
     rows = [
-        {"n": n, "class": serialize.format_class(point), "norm1": norm1(point)}
-        for n, point in enumerate(ray)
+        {"n": n, "class": serialize.format_class(point), "norm1": norm}
+        for n, (point, norm) in enumerate(zip(ray, norms))
     ]
     if args.fmt == "json":
         _emit_json(args, rows)

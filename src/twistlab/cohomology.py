@@ -21,9 +21,10 @@ not with the size of their coordinates.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactSqrt, GaussianRational, abs2_ratio
+from .exact import ExactSqrt, GaussianRational
 from .fourier import (
     SparseVector,
+    coefficient_peaks,
     decay_constants,
     decay_from_norms,
     inner,
@@ -34,7 +35,6 @@ from .lattice import (
     HomologyClass,
     basis_curve_class,
     dual_terms,
-    norm1,
     zero_class,
 )
 from .words import Curve, builtin_catalog, basis_curves
@@ -336,10 +336,11 @@ def _telescope(values, rows):
 
 def _expand(g, runs):
     "The vector holding each run's value at each of its points."
+    of_coords = HomologyClass._of_coords  # the runs' coordinates are ints
     table = {}
     for before, after, span, value in runs:
         for a in span:
-            table[HomologyClass(before + (a,) + after)] = value
+            table[of_coords(before + (a,) + after)] = value
     return SparseVector._of_table(g, table, False)
 
 
@@ -404,8 +405,9 @@ def solve_coboundary(u, relations=None):
     def g_points():
         for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
             for m, val in v.items():
-                n, a = norm1(m), m.coords[idx]
-                yield max(n, n - abs(a) + abs(a - w * m.coords[dual])), val
+                coords = m.coords
+                n, a = sum(map(abs, coords)), coords[idx]
+                yield max(n, n - abs(a) + abs(a - w * coords[dual])), val
 
     orders = range(2, 6)
     decay = zip(
@@ -421,25 +423,31 @@ def smoothness_report(report, kmax=5):
 
     G_{k+1}, the largest decay constant of the 4g basis twist values at
     order k+1, is read from the report's decay table; a k in 2..kmax that
-    the table lacks raises ValueError.  Witnesses come in support order.
-    All comparisons are exact: squares, cross-multiplied as integer ratios.
+    the table lacks raises ValueError.  k^2 n^(2k) grows with n, so each k
+    is decided once per distinct coefficient, at its largest norm
+    (coefficient_peaks); only a failing k walks the support, in order, for
+    its witnesses.  All comparisons are exact: squares, cross-multiplied as
+    integer ratios.
     """
     if report.residual:
         raise ValueError("smoothness check needs an exact reconstruction")
     g_table = {k: gk for k, _, gk in report.decay}
-    f_points = [
-        (m, norm1(m), *abs2_ratio(*report.f.coefficient(m).ratios())) for m in report.f.support
-    ]
+    f = report.f
+    peaks = coefficient_peaks((sum(map(abs, m.coords)), val) for m, val in f.items())
     out = []
     for k in range(2, kmax + 1):
         if k not in g_table:
             raise ValueError("the report's decay table has no G_%d" % (k + 1))
         g_sq = g_table[k].square
         g_num, g_den = g_sq.as_integer_ratio()
+        kk, e = k * k, 2 * k
         witnesses = []
-        for m, n, num, den in f_points:
-            weight = k * k * n ** (2 * k)
-            if weight * num * g_den > g_num * den:
-                witnesses.append((m, Fraction(num, den), g_sq / weight))
+        if any(kk * n**e * num * g_den > g_num * den for n, num, den, _ in peaks):
+            abs2 = {id(val): (num, den) for _, num, den, val in peaks}
+            for m in f.support:
+                num, den = abs2[id(f.coeffs[m])]
+                weight = kk * sum(map(abs, m.coords)) ** e
+                if weight * num * g_den > g_num * den:
+                    witnesses.append((m, Fraction(num, den), g_sq / weight))
         out.append(SmoothnessCheck(k=k, passed=not witnesses, witnesses=tuple(witnesses)))
     return out

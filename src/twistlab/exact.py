@@ -55,11 +55,13 @@ def _as_gaussian(x):
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    # _ratios caches ratios(): nothing assigns re or im after __init__
+    __slots__ = ("re", "im", "_ratios")
 
     def __init__(self, re=0, im=0):
         self.re = _frac(re)
         self.im = _frac(im)
+        self._ratios = None
 
     @classmethod
     def coerce(cls, x):
@@ -76,8 +78,11 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def ratios(self):
-        "(p, q, r, s) with re = p/q and im = r/s, in lowest terms."
-        return self.re.as_integer_ratio() + self.im.as_integer_ratio()
+        "(p, q, r, s) with re = p/q and im = r/s, in lowest terms; read once per object."
+        got = self._ratios
+        if got is None:
+            got = self._ratios = self.re.as_integer_ratio() + self.im.as_integer_ratio()
+        return got
 
     def __abs__(self):
         return ExactSqrt(self.abs2())

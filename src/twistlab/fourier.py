@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .exact import ExactSqrt, GaussianRational, abs2_ratio
-from .lattice import HomologyClass, dual_terms, norm1
+from .lattice import HomologyClass, dual_terms
 
 
 class AliasingError(ValueError):
@@ -168,8 +168,12 @@ def twist(c, n, v):
     """
     if len(c.coords) != 2 * v.genus:
         raise ValueError("dimension mismatch")
+    # an int n keeps every moved coordinate an int, so moved points skip the checks
+    if not isinstance(n, int):
+        raise TypeError("the twist exponent must be an int, got %r" % (n,))
     moves = [(k, a) for k, a in enumerate(c.coords) if a]
     reads = [(k, n * w) for k, w in dual_terms(c)]
+    of_coords = HomologyClass._of_coords
     table = {}
     for m, val in v.coeffs.items():
         coords = m.coords
@@ -180,7 +184,7 @@ def twist(c, n, v):
             moved = list(coords)
             for k, a in moves:
                 moved[k] += t * a
-            m = HomologyClass(moved)
+            m = of_coords(tuple(moved))
         table[m] = val
     return SparseVector._of_table(v.genus, table, v.full)
 
@@ -315,20 +319,38 @@ def grid_mean(v, N):
     return complex(total)
 
 
+def coefficient_peaks(points):
+    """(n, num, den, coeff) once per distinct coefficient object among the
+    (n, coeff) points: n is the largest norm it sits at and num/den its
+    |coeff|^2 as an unreduced integer ratio.
+
+    n^k |coeff| grows with n, so a bound holds for a coefficient at every
+    point iff it holds at its largest norm.  Decoded and solved vectors
+    share one object per repeated coefficient, so the work per coefficient
+    runs once, not once per point.  Objects are told apart by id, which
+    stays unique while the table holds each of them.
+    """
+    largest = {}
+    for n, val in points:
+        old = largest.get(id(val))
+        if old is None or n > old[0]:
+            largest[id(val)] = (n, val)
+    return [(n, *abs2_ratio(*val.ratios()), val) for n, val in largest.values()]
+
+
 def decay_from_norms(points, orders):
     """Per order k, the smallest F with n^k |coeff| <= F over the (n, coeff) points (0 if none).
 
-    Every |coeff|^2 is an unreduced integer ratio, computed once per pair,
-    and only the largest one per norm can attain a maximum; both maxima
-    are taken by cross-multiplication, so the one Fraction built per order
-    is the printed square.
+    |coeff|^2 is computed once per distinct coefficient (coefficient_peaks),
+    and only the largest one per norm can attain a maximum; both maxima are
+    taken by cross-multiplication, so the one Fraction built per order is
+    the printed square.
     """
     orders = tuple(orders)
     if any(k < 0 for k in orders):
         raise ValueError("k must be nonnegative")
     peak = {}
-    for n, val in points:
-        num, den = abs2_ratio(*val.ratios())
+    for n, num, den, _ in coefficient_peaks(points):
         old = peak.get(n)
         if old is None or num * old[1] > old[0] * den:
             peak[n] = (num, den)
@@ -346,7 +368,7 @@ def decay_from_norms(points, orders):
 def decay_constants(vectors, orders):
     """Per order k, the smallest F with norm1(m)^k |coeff| <= F over the
     supports of all the vectors (0 if they are all empty)."""
-    points = ((norm1(m), val) for v in vectors for m, val in v.items())
+    points = ((sum(map(abs, m.coords)), val) for v in vectors for m, val in v.items())
     return decay_from_norms(points, orders)
 
 

@@ -28,6 +28,13 @@ class HomologyClass:
         self.coords = coords
         self._hash = hash(coords)
 
+    @classmethod
+    def _of_coords(cls, coords):
+        "The class of coords, a tuple of 2g ints with g >= MIN_GENUS already checked."
+        out = object.__new__(cls)
+        out.coords, out._hash = coords, hash(coords)
+        return out
+
     @property
     def genus(self):
         return len(self.coords) // 2
@@ -134,7 +141,7 @@ def intersection(m, n):
 
 def norm1(m):
     "Sum of absolute values of the coordinates."
-    return sum(abs(a) for a in m.coords)
+    return sum(map(abs, m.coords))
 
 
 def transvect(c, n, m):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cohomology import Cocycle, GeneratorSet, SolveReport
 from .exact import ExactSqrt, GaussianRational, format_fraction
 from .fourier import SparseVector
-from .lattice import HomologyClass, SymplecticMatrix
+from .lattice import MIN_GENUS, HomologyClass, SymplecticMatrix
 from .words import Curve, RelationInstance, TwistWord
 
 
@@ -215,18 +215,38 @@ def sparse_to_json(v):
     }
 
 
+_ZERO = GaussianRational(0)  # every decoded zero coefficient, so one identity test finds it
+
+
 def sparse_from_json(obj, field="sparse vector", memo=None):
     """The vector of a JSON object, as SparseVector(...) builds it from the
     parsed entries.  memo maps coordinate tuples to classes and (re, im)
     string pairs to coefficients; cocycle_from_json shares one between the
-    values of a cocycle, whose points and coefficients repeat."""
+    values of a cocycle, whose points and coefficients repeat.
+
+    An entry whose coordinates are 2g JSON integers, g >= 3, is checked in
+    one comparison of their types; any other goes through class_from_json,
+    which names what is wrong.  Only a vector with a repeated point, a zero
+    coefficient or a zero class is summed as SparseVector(...) sums it;
+    every other one is its table of entries as they stand.
+    """
     obj = _json(obj, dict, field)
     genus = _json(obj["genus"], int, "'genus'")
     full = _json(obj.get("full", False), bool, "'full'")
     memo = {} if memo is None else memo
+    # type(), not isinstance(): a bool is an int subclass, and True == 1 in the memo
+    int_types = (int,) * (2 * genus) if genus >= MIN_GENUS else None
     entries = []
+    has_zero = False
     for entry in _json(obj.get("coefficients", []), list, "'coefficients'"):
-        m = class_from_json(_json(entry, dict, "coefficient")["class"], genus, memo=memo)
+        point = _json(entry, dict, "coefficient")["class"]
+        if type(point) is list and tuple(map(type, point)) == int_types:
+            coords = tuple(point)
+            m = memo.get(coords)
+            if m is None:
+                m = memo[coords] = HomologyClass._of_coords(coords)
+        else:
+            m = class_from_json(point, genus, memo=memo)
         key = entry["re"], entry.get("im")
         val = memo.get(key) if type(key[0]) is str and type(key[1]) is str else None
         if val is None:
@@ -238,9 +258,16 @@ def sparse_from_json(obj, field="sparse vector", memo=None):
                 at = " of the coefficient at %s" % m
                 real = parse_fraction(entry["re"], "'re'" + at)
                 imag = parse_fraction(entry["im"], "'im'" + at)
-            val = memo[key] = GaussianRational(real, imag)
+            val = memo[key] = GaussianRational(real, imag) if real or imag else _ZERO
+        if val is _ZERO:
+            has_zero = True
         entries.append((m, val))
-    return SparseVector.of_pairs(genus, entries, full=full)
+    table = dict(entries)
+    if has_zero or len(table) < len(entries) or (
+        entries and not full and HomologyClass._of_coords((0,) * (2 * genus)) in table
+    ):
+        return SparseVector.of_pairs(genus, entries, full=full)
+    return SparseVector._of_table(genus, table, full)
 
 
 def curve_to_json(c):

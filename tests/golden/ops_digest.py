@@ -11,6 +11,14 @@ stdout and stderr of every op, in order, with the temporary directory
 replaced by a fixed token.  One more digest covers verify-relations and
 verify-relations --dump-catalog at g = 3..8.  Run it in two checkouts and
 compare the lines.
+
+ops_digest.txt holds the lines of the current output, and
+tests/test_golden.py recomputes them.  A change that alters CLI output on
+purpose regenerates that file,
+
+    python tests/golden/ops_digest.py > tests/golden/ops_digest.txt
+
+and records why in CHANGES.md.
 """
 
 import contextlib

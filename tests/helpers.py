@@ -247,3 +247,35 @@ def oracle_telescope(u):
                 prev = nrm
     entries = {HomologyClass(c): _oracle_ray_sum(tables, c) for c in candidates}
     return SparseVector(u.genus, entries)
+
+
+def oracle_decay(points, orders):
+    """Per order k, the largest n^(2k) |coeff|^2 over the (n, coeff) points
+    (0 if none), one point at a time in Fraction arithmetic: the square of
+    decay_from_norms without its per-coefficient table."""
+    points = list(points)
+    return [
+        max(
+            (Fraction(n) ** (2 * k) * (val.re * val.re + val.im * val.im) for n, val in points),
+            default=Fraction(0),
+        )
+        for k in orders
+    ]
+
+
+def oracle_smoothness(f, g_squares, kmax=5):
+    """(k, passed, witnesses) per k in 2..kmax, checking every support point
+    of f in support order: m is a witness (m, |f_m|^2, G_{k+1}^2 / (k^2
+    norm1(m)^(2k))) when k^2 norm1(m)^(2k) |f_m|^2 > G_{k+1}^2, with
+    G_{k+1}^2 = g_squares[k]."""
+    out = []
+    for k in range(2, kmax + 1):
+        witnesses = []
+        for m in sorted(f.coeffs, key=lambda h: h.coords):
+            val = f.coeffs[m]
+            abs2 = val.re * val.re + val.im * val.im
+            weight = k * k * sum(abs(a) for a in m.coords) ** (2 * k)
+            if weight * abs2 > g_squares[k]:
+                witnesses.append((m, abs2, g_squares[k] / weight))
+        out.append((k, not witnesses, tuple(witnesses)))
+    return out

@@ -155,6 +155,29 @@ def test_orbit_json_format(tmp_path, capsys):
     assert rows[0]["class"] == "0 1 0 0 0 0"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_orbit_past_the_digit_limit_is_refused_before_any_row(tmp_path, capsys, fmt):
+    # from (10^(L-1), 1, 0, 0, 0, 0) the ray twists b1, and step t has norm1
+    # (t + 1) 10^(L-1) + 1: L digits up to t = 8, L + 1 from t = 9
+    limit = sys.get_int_max_str_digits()
+    start = "1%s 1 0 0 0 0" % ("0" * (limit - 1))
+    out = tmp_path / ("orbit." + fmt)
+    assert run(["orbit", start, "--steps", "8", "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    rows = json.loads(text) if fmt == "json" else list(csv.DictReader(text.splitlines()))
+    assert [int(r["n"]) for r in rows] == list(range(9))
+    assert int(rows[-1]["norm1"]) == 9 * 10 ** (limit - 1) + 1
+    assert rows[-1]["class"].split()[1] == str(8 * 10 ** (limit - 1) + 1)
+    out.unlink()
+    for steps in ("9", "12"):
+        _refused(
+            capsys,
+            ["orbit", start, "--steps", steps, "--format", fmt, "--out", str(out)],
+            "error: norm1 at step 9 of the ray has more than %d digits" % limit,
+        )
+        assert not out.exists()
+
+
 def test_solve_round_trip(tmp_path, capsys):
     f, u, _ = _fixture_cocycle()
     infile = _write(tmp_path / "cocycle.json", ser.cocycle_to_json(u))

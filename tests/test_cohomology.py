@@ -44,7 +44,7 @@ from twistlab import (
 from twistlab import cohomology
 from twistlab import serialize as ser
 
-from helpers import oracle_solve, rand_basis_word, rand_class, rand_sparse
+from helpers import oracle_smoothness, oracle_solve, rand_basis_word, rand_class, rand_sparse
 
 G = 3
 
@@ -717,3 +717,42 @@ def test_smoothness_report_needs_each_k_in_the_table():
     assert [k for k, _, _ in rep.decay] == [2, 3, 4, 5]
     with pytest.raises(ValueError):
         smoothness_report(rep, kmax=6)
+
+
+_small_point = st.lists(st.integers(-6, 6), min_size=2 * G, max_size=2 * G).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_coeff, _coeff).filter(any), min_size=1, max_size=4),
+    st.lists(st.tuples(_small_point, st.integers(0, 3), st.booleans()), min_size=1, max_size=10),
+)
+def test_smoothness_report_matches_the_per_point_oracle(values, raw):
+    # f shares each drawn value as one object between points of several
+    # norms, or holds an equal copy; the solved f shares one per run
+    shared = [GaussianRational(re, im) for re, im in values]
+    table = {}
+    for coords, i, copy in raw:
+        val = shared[i % len(shared)]
+        table[HomologyClass(coords)] = GaussianRational(val.re, val.im) if copy else val
+    f = SparseVector(G, table)
+    solved = solve_coboundary(coboundary(f, basis_gens()), relations=[])
+    assert solved.f == f
+    for rep in (solved, SolveReport(f=f, residual=ExactSqrt(0), decay=solved.decay)):
+        # scale G down until some k fails, and on to G = 0, where all fail
+        scale = Fraction(1)
+        while True:
+            g_squares = {k: gk.square * scale for k, _, gk in rep.decay}
+            scaled = SolveReport(
+                f=rep.f,
+                residual=rep.residual,
+                decay=tuple((k, fk, ExactSqrt(g_squares[k])) for k, fk, _ in rep.decay),
+            )
+            checks = smoothness_report(scaled)
+            want = oracle_smoothness(rep.f, g_squares)
+            assert [(c.k, c.passed, c.witnesses) for c in checks] == want
+            if not scale:
+                break
+            failed = not all(passed for _, passed, _ in want)
+            scale = 0 if failed or scale < Fraction(1, 10**12) else scale / 4
+        assert all(len(c.witnesses) == len(f) for c in checks)

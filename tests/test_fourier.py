@@ -31,10 +31,11 @@ from twistlab import (
     basis_curves,
     basis_curve_class,
 )
-from twistlab.fourier import signed_norm_sq
+from twistlab.fourier import coefficient_peaks, decay_from_norms, signed_norm_sq
 
 from helpers import (
     brute_grid_mean,
+    oracle_decay,
     oracle_evaluate,
     oracle_transvection_rows,
     rand_basis_word,
@@ -354,6 +355,30 @@ def test_signed_norm_sq_matches_merged_norm(raw):
         total = total + v if sign > 0 else total - v
     # the oracle sums |coeff|^2 of the merged vector, not through norm_sq
     assert signed_norm_sq(terms) == sum((val.abs2() for val in total.coeffs.values()), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_part, _part), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3), st.booleans()), max_size=12),
+    st.lists(st.integers(0, 6), max_size=4),
+)
+def test_decay_from_norms_matches_the_per_point_oracle(values, raw, orders):
+    # each drawn value is one object that sits at several norms; a copy flag
+    # puts an equal value that is a distinct object at the point instead
+    shared = [GaussianRational(re, im) for re, im in values]
+    points = []
+    for n, i, copy in raw:
+        val = shared[i % len(shared)]
+        points.append((n, GaussianRational(val.re, val.im) if copy else val))
+    got = decay_from_norms(iter(points), orders)
+    assert [fk.square for fk in got] == oracle_decay(points, orders)
+    # the per-coefficient work runs once per object, at its largest norm
+    peaks = coefficient_peaks(points)
+    assert sorted(id(val) for *_, val in peaks) == sorted({id(val) for _, val in points})
+    for n, num, den, val in peaks:
+        assert n == max(m for m, v in points if v is val)
+        assert Fraction(num, den) == val.abs2()
 
 
 def test_exact_sqrt_behaviour():

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI outputs against tests/golden (see make_golden.py there)."""
+"""Byte-for-byte CLI outputs against tests/golden (see make_golden.py and
+ops_digest.py there)."""
 
 import json
 import pathlib
@@ -20,3 +21,15 @@ def test_cli_output_matches_golden(case):
     assert code == CODES[case]
     assert out == (GOLDEN / (case + ".stdout")).read_text()
     assert err == (GOLDEN / (case + ".stderr")).read_text()
+
+
+def test_every_bench_op_prints_the_recorded_digest(capsys):
+    # ops_digest.py turns bytecode writing off so that importing bench/inputs.py
+    # leaves no cache under bench/; the rest of the session keeps its setting
+    dont_write = sys.dont_write_bytecode
+    try:
+        import ops_digest
+    finally:
+        sys.dont_write_bytecode = dont_write
+    ops_digest.print_digests()
+    assert capsys.readouterr().out == (GOLDEN / "ops_digest.txt").read_text()

@@ -277,6 +277,63 @@ def test_decoder_sums_and_cancels_duplicate_points():
     assert list(v.coeffs) == [HomologyClass(P)]
 
 
+def _cocycle_json(**entries):
+    "A genus-3 cocycle JSON object on the basis twists; the named values get the entries."
+    gens = [ser.curve_to_json(c) for c in GeneratorSet.symplectic_basis(G)]
+    values = {c["id"]: _vector(*entries.get(c["id"], ())) for c in gens}
+    return {"genus": G, "generators": gens, "values": values}
+
+
+def test_a_zero_coefficient_shared_by_two_values_drops_from_both():
+    # both values meet ("0", "0/3"): the second reads it from the memo
+    obj = _cocycle_json(
+        x1=[(P, "0", "0/3"), (Q, "1", "0")], y2=[(Q, "0", "0/3"), (P, "2", "0")]
+    )
+    got = ser.cocycle_from_json(obj)
+    assert got.values == _constructed(obj).values
+    assert got.value("x1") == SparseVector(G, {HomologyClass(Q): 1})
+    assert got.value("y2") == SparseVector(G, {HomologyClass(P): 2})
+    assert list(got.value("x1").coeffs) == [HomologyClass(Q)]
+
+
+def test_a_float_coordinate_is_refused_after_its_int_point_is_remembered():
+    # 1.0 == 1 and hash(1.0) == hash(1): a memo read before the type check
+    # would hand the float the class of the int point
+    msg = "coordinate of 'class' must be a JSON integer, got 1.0"
+    with pytest.raises(ValueError, match=msg):
+        ser.sparse_from_json(_vector((P, "1", "0"), ([1.0, 0, 0, 0, 0, 1], "1", "0")))
+    obj = _cocycle_json(x1=[(P, "1", "0")], y1=[([1.0, 0, 0, 0, 0, 1], "1", "0")])
+    with pytest.raises(ValueError, match=msg):
+        ser.cocycle_from_json(obj)
+
+
+def test_a_value_of_genus_2_is_refused():
+    entry = {"class": [1, 0, 0, 1], "re": "1", "im": "0"}
+    with pytest.raises(ValueError) as want:
+        SparseVector(2, [(HomologyClass((1, 0, 0, 1)), 1)])
+    with pytest.raises(ValueError) as got:
+        ser.sparse_from_json({"genus": 2, "coefficients": [entry]})
+    assert str(got.value) == str(want.value) == "need 2g coordinates with g >= 3, got 4"
+    obj = _cocycle_json(x1=[(P, "1", "0")])
+    obj["values"]["y1"] = {"genus": 2, "coefficients": [entry]}
+    with pytest.raises(ValueError, match="^need 2g coordinates with g >= 3, got 4$"):
+        ser.cocycle_from_json(obj)
+    obj["values"]["y1"]["coefficients"] = []
+    with pytest.raises(ValueError, match="^value of 'y1' has the wrong genus$"):
+        ser.cocycle_from_json(obj)
+
+
+def test_a_point_repeated_inside_the_second_value_is_summed():
+    # the first value puts P and "1/2" in the memo; the second repeats P
+    obj = _cocycle_json(
+        x1=[(P, "1/2", "0")], y1=[(P, "1/2", "0"), (Q, "1", "1"), (P, "1/2", "0"), (Q, "-1", "-1")]
+    )
+    got = ser.cocycle_from_json(obj)
+    assert got.values == _constructed(obj).values
+    assert got.value("y1") == SparseVector(G, {HomologyClass(P): 1})
+    assert list(got.value("y1").coeffs) == [HomologyClass(P)]
+
+
 def _constructed(obj):
     "The cocycle of a JSON object, each value built by SparseVector(...)."
     gens = GeneratorSet(ser.curve_from_json(c, obj["genus"]) for c in obj["generators"])
