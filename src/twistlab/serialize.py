@@ -58,7 +58,7 @@ def parse_fraction(s, field="rational"):
 
 
 def format_class(m):
-    return " ".join(str(a) for a in m.coords)
+    return str(m)
 
 
 def _parse_coords(toks, where):
@@ -368,6 +368,8 @@ def report_from_json(obj):
     decay = []
     for e in _json(obj.get("decay", []), list, "'decay'"):
         k = _json(_json(e, dict, "decay entry")["k"], int, "'k' of a decay entry")
+        if any(k == seen for seen, _, _ in decay):
+            raise ValueError("two decay entries have k = %d" % k)
         at = " of the decay entry with k = %d" % k
         fk = sqrt_from_json(e["F"], "'square' of 'F'" + at)
         decay.append((k, fk, sqrt_from_json(e["G"], "'square' of 'G'" + at)))

@@ -756,3 +756,69 @@ def test_smoothness_report_matches_the_per_point_oracle(values, raw):
             failed = not all(passed for _, passed, _ in want)
             scale = 0 if failed or scale < Fraction(1, 10**12) else scale / 4
         assert all(len(c.witnesses) == len(f) for c in checks)
+
+
+def test_smoothness_report_takes_f_from_the_vector_not_the_table():
+    # a saved report whose F column reads zero decides as its f does: scale
+    # G down until the per-point oracle fails some k, zero F, round-trip
+    rep = solve_coboundary(coboundary(rand_sparse(random.Random(427), G, 12), basis_gens()))
+    scale = Fraction(1)
+    while True:
+        g_squares = {k: gk.square * scale for k, _, gk in rep.decay}
+        want = oracle_smoothness(rep.f, g_squares)
+        if not all(passed for _, passed, _ in want):
+            break
+        scale /= 4
+    edited = SolveReport(
+        f=rep.f,
+        residual=rep.residual,
+        decay=tuple((k, ExactSqrt(0), ExactSqrt(g_squares[k])) for k, _, _ in rep.decay),
+    )
+    saved = ser.report_from_json(json.loads(json.dumps(ser.report_to_json(edited))))
+    assert [(c.k, c.passed, c.witnesses) for c in smoothness_report(saved)] == want
+
+
+@st.composite
+def _edge_primitive(draw):
+    """A primitive at g = 3..6 with its points where the decay lemma has the
+    least room: norm-1 points, and short lines of points whose increasing
+    ray is y-type (the first nonzero coordinate is an a, and b of either
+    sign puts the line on eps = +1 or eps = -1) or x-type (the first
+    nonzero coordinate is a b), with steps |a| or |b| of 1, 2 and up."""
+    g = draw(st.integers(3, 6))
+    step = st.one_of(st.sampled_from((1, -1, 2, -2)), st.integers(-40, 40).filter(bool))
+    coeff = st.tuples(_coeff, _coeff).filter(any)
+    table = {}
+    for _ in range(draw(st.integers(1, 6))):
+        coords = [0] * (2 * g)
+        kind = draw(st.sampled_from(("unit", "y-ray", "x-ray")))
+        if kind == "unit":
+            coords[draw(st.integers(0, 2 * g - 1))] = draw(st.sampled_from((1, -1)))
+            points = [coords]
+        else:
+            h = 2 * draw(st.integers(0, g - 1))
+            rest = 2 * g - h - 2
+            coords[h + 2 :] = draw(st.lists(st.integers(-3, 3), min_size=rest, max_size=rest))
+            if kind == "y-ray":
+                coords[h], coords[h + 1] = draw(step), draw(st.integers(-40, 40))
+                moving, s = h + 1, coords[h]
+            else:
+                coords[h + 1] = draw(step)
+                moving, s = h, coords[h + 1]
+            points = []
+            for j in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+                point = list(coords)
+                point[moving] += j * s
+                points.append(point)
+        for point in points:
+            table[HomologyClass(point)] = GaussianRational(*draw(coeff))
+    return SparseVector(g, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_primitive())
+def test_every_clean_solve_is_smooth(f):
+    # the decay lemma: the telescope's f has k F_k <= G_{k+1} at every k >= 1
+    rep = solve_coboundary(coboundary(f, GeneratorSet.symplectic_basis(f.genus)))
+    assert rep.residual == 0 and rep.f == f
+    assert all(c.passed for c in smoothness_report(rep))

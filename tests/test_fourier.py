@@ -390,6 +390,10 @@ def test_exact_sqrt_behaviour():
     assert not ExactSqrt(0)
     assert float(ExactSqrt(4)) == 2.0
     assert max(ExactSqrt(2), ExactSqrt(3)) == ExactSqrt(3)
+    # a root exceeds every negative rational, also one whose square is its own
+    assert ExactSqrt(1) != -1 and ExactSqrt(1) > -1
+    assert ExactSqrt(Fraction(1, 4)) > Fraction(-1, 2)
+    assert ExactSqrt(0) > Fraction(-1, 3)
     assert str(ExactSqrt(Fraction(9, 4))) == "3/2"
     assert str(ExactSqrt(2)) == "sqrt(2)"
     # a square past the integer-string limit prints in full

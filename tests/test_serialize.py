@@ -222,6 +222,16 @@ def test_report_decoder_takes_an_integer_k_and_string_squares():
     assert ser.report_from_json(obj).decay == rep.decay
 
 
+def test_report_decoder_refuses_a_repeated_k():
+    # kept, the last entry for k would decide k, so the verdict would hang on entry order
+    f = rand_sparse(random.Random(507), G, 4)
+    obj = ser.report_to_json(solve_coboundary(coboundary(f, GeneratorSet.symplectic_basis(G))))
+    again = {"k": 3, "F": {"square": "0"}, "G": {"square": "0"}}
+    for decay in (obj["decay"] + [again], [again] + obj["decay"]):
+        with pytest.raises(ValueError, match="^two decay entries have k = 3$"):
+            ser.report_from_json(dict(obj, decay=decay))
+
+
 P, Q = [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]
 
 

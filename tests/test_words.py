@@ -169,6 +169,15 @@ def test_verify_relation_commuting_and_braid():
     assert (matrix_residual(commuting), matrix_residual(broken)) == (0, 1)
 
 
+@pytest.mark.parametrize("g", range(3, 9))
+def test_a_single_twist_against_the_empty_word_has_residual_one(g):
+    # T_c - 1 = c (c^T J) has one nonzero entry, +-1: in the last row for
+    # c = y_g and in the last column for c = x_g
+    for c in basis_curves(g):
+        rel = _relation("T_%s = 1" % c.id, (c,), TwistWord.of((c.id, 1)), TwistWord())
+        assert matrix_residual(rel) == 1, rel.name
+
+
 def test_metadata_errors_are_distinct():
     x1, x2 = x_basis(G, 1), x_basis(G, 2)
     rel = _relation(
