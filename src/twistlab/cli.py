@@ -135,14 +135,14 @@ def cmd_orbit(args):
         {"n": n, "class": serialize.format_class(point), "norm1": norm}
         for n, (point, norm) in enumerate(zip(ray, norms))
     ]
-    if args.fmt == "json":
-        _emit_json(args, rows)
-    else:
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["n", "class", "norm1"])
         writer.writeheader()
         writer.writerows(rows)
         _emit(args, buf.getvalue())
+    else:
+        _emit_json(args, rows)
     return PASS
 
 
@@ -190,7 +190,7 @@ def cmd_decay_report(args):
         raise ValueError("kmax must be nonnegative")
     text = _read_infile(args)
     if text.lstrip().startswith("{"):
-        v = serialize.sparse_from_json(_decode_json(args, text))
+        v = serialize.vector_from_json(_decode_json(args, text))
     else:
         v = serialize.parse_sparse_lines(text)
     orders = range(0, args.kmax + 1)
@@ -214,7 +214,7 @@ _OPTIONS = {
     "--genus": {"type": int, "default": 3},
     "--in": {"dest": "infile", "default": None},
     "--out": {"dest": "outfile", "default": None},
-    "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": None},
+    "--format": {"dest": "fmt", "choices": ("json", "csv")},
 }
 
 
@@ -225,9 +225,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, *options):
+    def command(name, run, help, *options, **defaults):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, **defaults)
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
         return p
@@ -242,13 +242,13 @@ def build_parser():
     solve = command("solve", cmd_solve, "reconstruct a primitive of a cocycle", "--in", "--out")
     solve.add_argument("--genus", type=int, default=None, help="must equal the file's genus")
     orbit = command("orbit", cmd_orbit, "emit an increasing twist ray",
-                    "--genus", "--out", "--format")
+                    "--genus", "--out", "--format", fmt="csv")
     orbit.add_argument("start", help="class as 'a1 b1 ... ag bg'")
     orbit.add_argument("--steps", type=int, default=5)
     command("check-cocycle", cmd_check_cocycle, "relation residuals, s-vectors, pairings",
             "--in", "--out")
     decay = command("decay-report", cmd_decay_report, "decay constants of a sparse vector",
-                    "--in", "--out", "--format")
+                    "--in", "--out", "--format", fmt="json")
     decay.add_argument("--kmax", type=int, default=5)
     return parser
 

@@ -206,22 +206,10 @@ class ExactSqrt:
             return NotImplemented
         return c < 0
 
-    def __hash__(self):
-        f = self.as_fraction()
-        if f is not None:
-            return hash(f)
-        return hash(("sqrt", self.square))
-
     def __mul__(self, other):
         if isinstance(other, ExactSqrt):
             return ExactSqrt(self.square * other.square)
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other < 0:
-            raise ValueError("cannot scale a nonnegative root by a negative rational")
-        return ExactSqrt(self.square * other * other)
-
-    __rmul__ = __mul__
+        return NotImplemented
 
     def __repr__(self):
         return "ExactSqrt(%s)" % _str(self.square)

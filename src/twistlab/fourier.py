@@ -47,13 +47,6 @@ class SparseVector:
             yield m, GaussianRational.coerce(val)
 
     @classmethod
-    def of_pairs(cls, genus, pairs, full=False):
-        """SparseVector(genus, pairs, full=full) for pairs already known to
-        be (HomologyClass of this genus, GaussianRational): the same vector,
-        without checking or coercing each pair again."""
-        return cls._of_table(genus, _summed(pairs, full), full)
-
-    @classmethod
     def _of_table(cls, genus, table, full):
         "The vector owning table, a dict already checked and summed as by _summed."
         out = object.__new__(cls)

@@ -167,7 +167,7 @@ class SymplecticMatrix:
     is_symplectic().  inv() assumes it and verifies.
     """
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -181,7 +181,6 @@ class SymplecticMatrix:
                 if type(a) is not int:
                     raise TypeError("entries must be integers, got %r" % (a,))
         self.rows = rows
-        self._hash = hash(rows)
 
     @classmethod
     def identity(cls, dim):
@@ -197,7 +196,7 @@ class SymplecticMatrix:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        return hash(self.rows)
 
     def __mul__(self, other):
         if not isinstance(other, SymplecticMatrix):

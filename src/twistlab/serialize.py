@@ -114,22 +114,15 @@ def _json_tuple(x, length, field):
     return x
 
 
-def class_from_json(obj, genus=None, field="'class'", memo=None):
-    """The class of a JSON coordinate array.  A memo dict, if given, maps
-    coordinate tuples to classes already built; it is read only after the
-    checks, as True == 1 would otherwise find the class of a 1."""
+def class_from_json(obj, genus=None, field="'class'"):
+    "The class of a JSON coordinate array."
     coords = tuple(_json(obj, list, field))
     for a in coords:
         if type(a) is not int:
             raise _bad_json("coordinate of " + field, int, a)
     if genus is not None and len(coords) != 2 * genus:
         raise ValueError("expected %d coordinates, got %d" % (2 * genus, len(coords)))
-    if memo is None:
-        return HomologyClass(coords)
-    m = memo.get(coords)
-    if m is None:
-        m = memo[coords] = HomologyClass(coords)
-    return m
+    return HomologyClass(coords)
 
 
 def matrix_to_json(M):
@@ -246,7 +239,7 @@ def sparse_from_json(obj, field="sparse vector", memo=None):
             if m is None:
                 m = memo[coords] = HomologyClass._of_coords(coords)
         else:
-            m = class_from_json(point, genus, memo=memo)
+            m = class_from_json(point, genus)
         key = entry["re"], entry.get("im")
         val = memo.get(key) if type(key[0]) is str and type(key[1]) is str else None
         if val is None:
@@ -266,8 +259,17 @@ def sparse_from_json(obj, field="sparse vector", memo=None):
     if has_zero or len(table) < len(entries) or (
         entries and not full and HomologyClass._of_coords((0,) * (2 * genus)) in table
     ):
-        return SparseVector.of_pairs(genus, entries, full=full)
+        return SparseVector(genus, entries, full=full)
     return SparseVector._of_table(genus, table, full)
+
+
+def vector_from_json(obj, field="sparse vector"):
+    """sparse_from_json for a vector outside a cocycle, which has no genus
+    check of its own: a genus below MIN_GENUS is a ValueError."""
+    v = sparse_from_json(obj, field)
+    if v.genus < MIN_GENUS:
+        raise ValueError("%s has genus %d, below %d" % (field, v.genus, MIN_GENUS))
+    return v
 
 
 def curve_to_json(c):
@@ -318,9 +320,16 @@ def relation_from_json(obj):
         if type(n) is not int:
             raise _bad_json("intersection number of %r and %r" % (a, b), int, n)
         intersections.append((a, b, n))
+    name = _json(obj["name"], str, "'name' of a relation")
+    table = {}
+    for c in _json(obj["curves"], list, "'curves'"):
+        curve = curve_from_json(c)
+        if curve.id in table:
+            raise ValueError("relation %r names curve %r twice" % (name, curve.id))
+        table[curve.id] = curve
     return RelationInstance(
-        name=_json(obj["name"], str, "'name' of a relation"),
-        curves=tuple(curve_from_json(c) for c in _json(obj["curves"], list, "'curves'")),
+        name=name,
+        curves=tuple(table.values()),
         lhs=word_from_json(obj["lhs"], "'lhs'"),
         rhs=word_from_json(obj["rhs"], "'rhs'"),
         intersections=tuple(intersections),
@@ -374,7 +383,7 @@ def report_from_json(obj):
         fk = sqrt_from_json(e["F"], "'square' of 'F'" + at)
         decay.append((k, fk, sqrt_from_json(e["G"], "'square' of 'G'" + at)))
     return SolveReport(
-        f=sparse_from_json(obj["f"], "'f'"),
+        f=vector_from_json(obj["f"], "'f'"),
         residual=sqrt_from_json(obj["residual"], "'square' of the residual"),
         decay=tuple(decay),
     )

@@ -64,6 +64,69 @@ MUTANTS = (
         "for m in f.support:",
         "for m in ():",
     ),
+    (
+        "a repeated curve id in a relation is kept",
+        "serialize.py",
+        "        if curve.id in table:\n"
+        '            raise ValueError("relation %r names curve %r twice" % (name, curve.id))\n',
+        "",
+    ),
+    (
+        "a vector of genus below 3 is taken",
+        "serialize.py",
+        "    if v.genus < MIN_GENUS:\n",
+        "    if False:\n",
+    ),
+    (
+        "a JSON class of another length than 2g is taken",
+        "serialize.py",
+        "            raise _bad_json(\"coordinate of \" + field, int, a)\n"
+        "    if genus is not None and len(coords) != 2 * genus:\n",
+        "            raise _bad_json(\"coordinate of \" + field, int, a)\n"
+        "    if False:\n",
+    ),
+    (
+        "orbit takes --steps 0",
+        "cli.py",
+        "    if args.steps < 1:\n",
+        "    if False:\n",
+    ),
+    (
+        "an empty generator set is taken",
+        "cohomology.py",
+        "        if not curves:\n",
+        "        if False:\n",
+    ),
+    (
+        "point lines do not skip comments and blank lines",
+        "serialize.py",
+        "        if not line or line.startswith(\"#\"):\n            continue\n",
+        "",
+    ),
+    (
+        "max_relation_residual keeps the first residual",
+        "cohomology.py",
+        "            worst = r\n",
+        "            pass\n",
+    ),
+    (
+        "twist takes a float exponent",
+        "fourier.py",
+        "    if not isinstance(n, int):\n",
+        "    if False:\n",
+    ),
+    (
+        "ExactSqrt takes a negative square",
+        "exact.py",
+        "        if square < 0:\n",
+        "        if False:\n",
+    ),
+    (
+        "inv returns a non-inverse",
+        "lattice.py",
+        "        if self * cand != SymplecticMatrix.identity(self.dim):\n",
+        "        if False:\n",
+    ),
 )
 
 

@@ -121,6 +121,24 @@ def test_verify_relations_metadata_inconsistency(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_relations_refuses_a_repeated_curve_id(tmp_path, capsys):
+    # kept, the later entry for "a" would decide i(a, b), so the verdict would hang on entry order
+    a1 = {"id": "a", "cls": [1, 0, 0, 0, 0, 0]}
+    a2 = {"id": "a", "cls": [0, 0, 1, 0, 0, 0]}
+    b = {"id": "b", "cls": [0, 1, 0, 0, 0, 0]}
+    for curves in ([a1, b, a2], [a2, b, a1]):
+        rel = {
+            "name": "dup-a",
+            "curves": curves,
+            "lhs": [["a", 1], ["b", 1]],
+            "rhs": [["b", 1], ["a", 1]],
+            "intersections": [["a", "b", 0]],
+        }
+        infile = _write(tmp_path / "rels.json", [rel])
+        assert run(["verify-relations", "--genus", "3", "--in", infile]) == 2
+        assert capsys.readouterr() == ("", "error: relation 'dup-a' names curve 'a' twice\n")
+
+
 def test_verify_relations_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -145,6 +163,11 @@ def test_orbit_two_rows(tmp_path, capsys):
 
 def test_orbit_zero_class(capsys):
     assert run(["orbit", "0 0 0 0 0 0"]) == 2
+
+
+def test_orbit_refuses_zero_steps(capsys):
+    assert run(["orbit", "2 3 0 0 0 0", "--steps", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: steps must be at least 1\n")
 
 
 def test_orbit_json_format(tmp_path, capsys):
@@ -326,6 +349,28 @@ def test_decay_report_text_and_json(tmp_path, capsys):
     assert len(lines) == 7
 
 
+def test_decay_report_skips_comments_and_blank_lines(tmp_path, capsys):
+    lines = ser.format_sparse_lines(rand_sparse(random.Random(608), G, 4)).splitlines()
+    outputs = []
+    for text in (lines, ["# a comment", ""] + lines[:2] + ["   ", "  # another"] + lines[2:]):
+        infile = tmp_path / "vec.txt"
+        infile.write_text("\n".join(text) + "\n")
+        assert run(["decay-report", "--in", str(infile)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"genus": -5}, {"genus": 0, "coefficients": []}, {"genus": 2, "coefficients": [], "full": True}],
+)
+def test_decay_report_refuses_a_vector_of_genus_below_3(tmp_path, capsys, obj):
+    infile = _write(tmp_path / "vec.json", obj)
+    assert run(["decay-report", "--in", infile]) == 2
+    want = "error: sparse vector has genus %d, below 3\n" % obj["genus"]
+    assert capsys.readouterr() == ("", want)
+
+
 def test_decay_report_missing_input(capsys):
     assert run(["decay-report"]) == 2
 
@@ -418,6 +463,23 @@ def test_solve_rejects_a_float_coordinate(tmp_path, capsys):
     obj = _first_value_class(ser.cocycle_to_json(u), [1.5, 0, 0, 0, 0, 1])
     infile = _write(tmp_path / "bad.json", obj)
     _refused(capsys, ["solve", "--in", infile], "coordinate of 'class' must be a JSON integer, got 1.5")
+
+
+def test_a_generator_class_of_another_length_is_refused(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=610)
+    obj = ser.cocycle_to_json(u)
+    obj["generators"][0]["cls"] = [1, 0, 0, 0]
+    infile = _write(tmp_path / "bad.json", obj)
+    for command in ("solve", "check-cocycle"):
+        assert run([command, "--in", infile]) == 2
+        assert capsys.readouterr() == ("", "error: expected 6 coordinates, got 4\n")
+
+
+def test_an_empty_generator_list_is_refused(tmp_path, capsys):
+    infile = _write(tmp_path / "bad.json", {"genus": 3, "generators": [], "values": {}})
+    for command in ("solve", "check-cocycle"):
+        assert run([command, "--in", infile]) == 2
+        assert capsys.readouterr() == ("", "error: generator set cannot be empty\n")
 
 
 def test_solve_rejects_a_bool_coordinate(tmp_path, capsys):

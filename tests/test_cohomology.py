@@ -182,6 +182,18 @@ def test_relation_residual_perturbed_braid():
     assert relation_residual(pert, braid) > 0
 
 
+def test_max_relation_residual_is_the_largest_residual():
+    gens = basis_gens()
+    u = coboundary(rand_sparse(random.Random(409), G, 8), gens)
+    values = dict(u.values)
+    values["y1"] = values["y1"] + SparseVector.basis(x_basis(G, 2), Fraction(1, 3))
+    pert = Cocycle(gens, values)
+    cat = [r for r in builtin_catalog(G) if matches_generators(r, gens)]
+    residuals = [relation_residual(pert, r) for r in cat]
+    assert max_relation_residual(pert, cat) == max(residuals) > 0
+    assert max_relation_residual(pert, []) == 0
+
+
 def test_relation_residual_empty_relation():
     gens = basis_gens()
     rng = random.Random(408)

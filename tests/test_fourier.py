@@ -154,6 +154,9 @@ def test_twist_matches_matrix_action_and_oracle():
             assert got == SparseVector(g, moved)
     with pytest.raises(ValueError):
         twist(x_basis(4, 1), 1, SparseVector.zero(G))
+    # a float exponent would move points to float coordinates
+    with pytest.raises(TypeError, match="the twist exponent must be an int, got 1.0"):
+        twist(x_basis(G, 1), 1.0, SparseVector.basis(y_basis(G, 1)))
 
 
 def test_act_unitary_and_group_action():
@@ -394,6 +397,9 @@ def test_exact_sqrt_behaviour():
     assert ExactSqrt(1) != -1 and ExactSqrt(1) > -1
     assert ExactSqrt(Fraction(1, 4)) > Fraction(-1, 2)
     assert ExactSqrt(0) > Fraction(-1, 3)
+    for square in (-1, Fraction(-1, 4)):
+        with pytest.raises(ValueError, match="square must be nonnegative"):
+            ExactSqrt(square)
     assert str(ExactSqrt(Fraction(9, 4))) == "3/2"
     assert str(ExactSqrt(2)) == "sqrt(2)"
     # a square past the integer-string limit prints in full

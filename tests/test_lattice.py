@@ -188,6 +188,8 @@ def test_is_symplectic():
         bad[i][i] = 1
     bad[0][0] = 2
     assert not is_symplectic(SymplecticMatrix(bad))
+    with pytest.raises(ValueError, match="matrix is not symplectic, cannot invert"):
+        SymplecticMatrix(bad).inv()
 
 
 def test_random_twists_symplectic():

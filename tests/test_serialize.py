@@ -232,6 +232,16 @@ def test_report_decoder_refuses_a_repeated_k():
             ser.report_from_json(dict(obj, decay=decay))
 
 
+def test_report_decoder_refuses_an_f_of_genus_below_3():
+    # a report's f has no enclosing cocycle to check its genus
+    f = rand_sparse(random.Random(508), G, 4)
+    obj = ser.report_to_json(solve_coboundary(coboundary(f, GeneratorSet.symplectic_basis(G))))
+    for genus in (-5, 0, 2):
+        bad = dict(obj, f={"genus": genus, "coefficients": []})
+        with pytest.raises(ValueError, match="^'f' has genus %d, below 3$" % genus):
+            ser.report_from_json(bad)
+
+
 P, Q = [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]
 
 
