@@ -3,11 +3,15 @@
 Subcommands: verify-relations, solve, orbit, check-cocycle, decay-report;
 each takes only the options it reads.  Exit status 0 means every check
 passed, 1 means a verification failed, 2 means malformed input or a
-violated precondition.
+violated precondition; a JSON object in an --in file that gives one key
+twice is malformed.  main() may be called any number of times in one
+process: the parser is built on the first call and reused, and each call
+parses into a fresh namespace.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -37,7 +41,7 @@ def _emit(args, text):
 
 
 def _emit_json(args, obj):
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _emit(args, serialize.json_text(obj) + "\n")
 
 
 def _read_infile(args):
@@ -47,10 +51,30 @@ def _read_infile(args):
         return fh.read()
 
 
+class _RepeatedKey(Exception):
+    "A JSON object of --in names one key twice; args[0] is the key."
+
+
+def _json_object(pairs):
+    "The dict of one decoded JSON object's (key, value) pairs, each key once."
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
 def _decode_json(args, text):
-    "The JSON document text of --in; too deep a nesting or too long an integer is a ValueError."
+    """The JSON document text of --in; too deep a nesting, too long an
+    integer or a key given twice in one object is a ValueError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
+    except _RepeatedKey as exc:
+        key = serialize._cut(repr(exc.args[0]))
+        raise ValueError("%s: a JSON object gives key %s twice" % (args.infile, key)) from None
     except RecursionError:
         raise ValueError("%s: JSON nested too deeply to decode" % args.infile) from None
     except json.JSONDecodeError:
@@ -218,6 +242,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twistlab",

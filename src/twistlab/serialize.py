@@ -3,12 +3,13 @@
 Classes are whitespace-separated integer lines "a1 b1 ... ag bg";
 matrices are row-major integer grids; sparse vectors are one support
 point per line with rational real/imaginary parts "num/den"; relations,
-cocycles and solve reports are JSON.  All emitters sort support points
-so output is byte-stable.  A rational is written "n" or "n/d" with
-decimal digits, an optional sign on n and d > 0; exponents, decimal
-points and spaces are refused, so parsing costs no more than the input
-is long.  A text coordinate is "n" in the same grammar: ASCII digits
-only, no "_" separators.  An integer in either longer than
+cocycles and solve reports are JSON, written by json_text as
+json.dumps(indent=2, sort_keys=True) writes it.  All emitters sort
+support points so output is byte-stable.  A rational is written "n" or
+"n/d" with decimal digits, an optional sign on n and d > 0; exponents,
+decimal points and spaces are refused, so parsing costs no more than the
+input is long.  A text coordinate is "n" in the same grammar: ASCII
+digits only, no "_" separators.  An integer in either longer than
 sys.get_int_max_str_digits() is refused with an error naming its field,
 while an emitted rational is printed in full at any length.  JSON
 decoders take integers and booleans only as JSON integers and booleans,
@@ -24,6 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .cohomology import Cocycle, GeneratorSet, SolveReport
 from .exact import ExactSqrt, GaussianRational, format_fraction
@@ -35,6 +37,70 @@ from .words import Curve, RelationInstance, TwistWord
 def _too_long(field):
     "The refusal of an integer string that int() takes past the digit limit."
     return ValueError("%s has more than %d digits" % (field, sys.get_int_max_str_digits()))
+
+
+def json_text(obj):
+    """obj as the text json.dumps(obj, indent=2, sort_keys=True) writes,
+    byte for byte, for a tree of dicts with string keys, lists, strings,
+    ints, floats, bools and None.  With an indent, json.dumps runs its
+    pure-Python encoder; here each token goes into one list and strings
+    go through json's C escaper."""
+    out = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(x, out, newline):
+    # type(), not isinstance(): a bool is an int subclass, and True must print true
+    kind = type(x)
+    if kind is str:
+        out.append(_json_string(x))
+    elif kind is int:
+        out.append(int.__repr__(x))
+    elif kind is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif kind is float:
+        out.append(_json_float(x))
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            out.append(sep + _json_string(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
+_INF = float("inf")
+
+
+def _json_float(x):
+    "json's float text: repr, or NaN, Infinity and -Infinity."
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -95,9 +161,14 @@ def _bad_json(field, kind, x):
         got = json.dumps(x, default=repr)
     except RecursionError:
         got = "a value nested too deeply to print"
+    return ValueError("%s must be a JSON %s, got %s" % (field, _JSON_KINDS[kind], _cut(got)))
+
+
+def _cut(got):
+    "The text of a refused value as its error quotes it."
     if len(got) > _ECHO_LIMIT:
-        got = "%s... (%d characters)" % (got[:_ECHO_LIMIT], len(got))
-    return ValueError("%s must be a JSON %s, got %s" % (field, _JSON_KINDS[kind], got))
+        return "%s... (%d characters)" % (got[:_ECHO_LIMIT], len(got))
+    return got
 
 
 def _json(x, kind, field):

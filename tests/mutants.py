@@ -127,6 +127,42 @@ MUTANTS = (
         "        if self * cand != SymplecticMatrix.identity(self.dim):\n",
         "        if False:\n",
     ),
+    (
+        "the JSON writer does not sort keys",
+        "serialize.py",
+        "for key, value in sorted(x.items()):",
+        "for key, value in x.items():",
+    ),
+    (
+        "a bool goes through the JSON writer's int branch",
+        "serialize.py",
+        "    elif kind is int:\n",
+        "    elif kind is int or kind is bool:\n",
+    ),
+    (
+        "the JSON writer drops a list separator",
+        "serialize.py",
+        '            sep = "," + inner\n        out.append(newline + "]")\n',
+        '            sep = inner\n        out.append(newline + "]")\n',
+    ),
+    (
+        "a JSON key given twice is taken",
+        "cli.py",
+        "    if len(obj) < len(pairs):\n",
+        "    if False:\n",
+    ),
+    (
+        "the parser is rebuilt per call",
+        "cli.py",
+        "@functools.cache",
+        '@(lambda f: setattr(f, "cache_clear", lambda: None) or f)',
+    ),
+    (
+        "one Namespace is shared across calls",
+        "cli.py",
+        "args = build_parser().parse_args(argv)",
+        'args = build_parser().parse_args(argv, main.__dict__.setdefault("ns", argparse.Namespace()))',
+    ),
 )
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import gc
+import io
 import json
 import random
 import sys
@@ -22,7 +25,7 @@ from twistlab import (
     x_basis,
     y_basis,
 )
-from twistlab import serialize as ser
+from twistlab import cli, serialize as ser
 from twistlab.cli import main
 
 from helpers import rand_scalar, rand_sparse
@@ -672,6 +675,136 @@ def test_text_integers_take_only_ascii_digits(tmp_path, capsys):
     text.write_text("1_0 0 0 0 0 0  1 0\n")
     _refused(capsys, ["decay-report", "--in", str(text)], "line 1: coordinate '1_0' must be")
     _refused(capsys, ["orbit", "\u0663 0 0 0 0 0"], "coordinate '\u0663' must be an integer")
+
+
+def _pairs_text(pairs):
+    "A JSON object text of (key, value) pairs, keys repeated as given."
+    return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), json.dumps(v)) for k, v in pairs)
+
+
+@pytest.mark.parametrize("first", ["own value", "non-cocycle value"])
+def test_check_cocycle_refuses_a_value_given_twice(tmp_path, capsys, first):
+    _, u, _ = _fixture_cocycle(seed=621)
+    obj = ser.cocycle_to_json(u)
+    own = obj["values"]["x1"]
+    extra = {"class": [0, 0, 0, 97, 0, 0], "re": "1/7", "im": "0"}
+    bad = dict(own, coefficients=own["coefficients"] + [extra])
+    rest = [(cid, v) for cid, v in obj["values"].items() if cid != "x1"]
+    # each value alone gives a different verdict, so the last one given would decide
+    for value, code in ((own, 0), (bad, 1)):
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(dict(obj, values=dict(rest, x1=value))))
+        assert run(["check-cocycle", "--in", str(single)]) == code
+    twice = [("x1", own), ("x1", bad)]
+    if first == "non-cocycle value":
+        twice.reverse()
+    infile = tmp_path / "twice.json"
+    infile.write_text(
+        '{"genus": 3, "generators": %s, "values": %s}'
+        % (json.dumps(obj["generators"]), _pairs_text(twice + rest))
+    )
+    capsys.readouterr()
+    assert run(["check-cocycle", "--in", str(infile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: a JSON object gives key 'x1' twice\n" % infile
+
+
+def test_a_key_given_twice_in_a_coefficient_is_refused(tmp_path, capsys):
+    entry = [("class", [1, 0, 0, 0, 0, 0]), ("re", "1"), ("im", "0"), ("re", "2")]
+    infile = tmp_path / "vector.json"
+    infile.write_text('{"genus": 3, "coefficients": [%s]}' % _pairs_text(entry))
+    assert run(["decay-report", "--in", str(infile)]) == 2
+    assert capsys.readouterr().err == "error: %s: a JSON object gives key 're' twice\n" % infile
+
+
+def _call(argv):
+    "(exit code, stdout, stderr) of one main(argv), a usage error or --help included."
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _calls_of_every_kind(tmp_path):
+    """(argv, exit code) of calls of all five subcommands, interleaved: a
+    call that leaves an option unset follows one that sets it, so that a
+    value left over from the call before would show."""
+    _, u, gens = _fixture_cocycle(seed=622)
+    cocycle = _write(tmp_path / "cocycle.json", ser.cocycle_to_json(u))
+    values = dict(u.values)
+    values["x1"] = values["x1"] + SparseVector.basis(y_basis(G, 1))
+    refused = _write(tmp_path / "refused.json", ser.cocycle_to_json(Cocycle(gens, values)))
+    v = rand_sparse(random.Random(623), G, 4)
+    vec_json = _write(tmp_path / "vec.json", ser.sparse_to_json(v))
+    vec_text = tmp_path / "vec.txt"
+    vec_text.write_text(ser.format_sparse_lines(v))
+    relations = _write(
+        tmp_path / "rels.json", [ser.relation_to_json(r) for r in builtin_catalog(G)[:3]]
+    )
+    return [
+        (["orbit", "2 3 0 0 0 0", "--steps", "3", "--format", "json"], 0),
+        (["decay-report", "--in", vec_json, "--format", "csv", "--kmax", "2"], 0),
+        (["solve", "--genus", "3", "--in", cocycle], 0),
+        (["orbit", "2 3 0 0 0 0", "--steps", "3"], 0),
+        (["decay-report", "--in", str(vec_text)], 0),
+        (["verify-relations", "--genus", "4", "--dump-catalog"], 0),
+        (["solve", "--genus", "4", "--in", cocycle], 2),
+        (["solve", "--in", cocycle], 0),
+        (["verify-relations", "--genus", "2"], 2),
+        (["check-cocycle", "--in", cocycle], 0),
+        (["decay-report", "--in", vec_json], 0),
+        (["verify-relations", "--in", relations], 0),
+        (["solve", "--in", refused], 2),
+        (["check-cocycle", "--in", refused], 1),
+        (["check-cocycle", "--genus", "3"], 2),
+        (["orbit", "1 0 0 0 0 0", "--genus", "4"], 2),
+        (["--help"], 0),
+        (["solve", "--help"], 0),
+        (["orbit", "2 3 0 0 0 0", "--steps", "2", "--genus", "3"], 0),
+        (["verify-relations"], 0),
+    ]
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = _calls_of_every_kind(tmp_path)
+    cli.build_parser.cache_clear()
+    reused = [_call(argv) for argv, _ in calls]
+    fresh = []
+    for argv, _ in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(argv))
+    for (argv, code), got, want in zip(calls, reused, fresh):
+        assert got == want, argv
+        assert got[0] == code, argv
+    by_argv = {tuple(argv): got for (argv, _), got in zip(calls, reused)}
+    assert by_argv["check-cocycle", "--genus", "3"][2].endswith(
+        "error: unrecognized arguments: --genus 3\n"
+    )
+    assert by_argv[("--help",)][1].startswith("usage: twistlab [-h]")
+
+
+def test_a_call_leaves_no_garbage(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    calls = [
+        (argv + ["--out", out], code)
+        for argv, code in _calls_of_every_kind(tmp_path)
+        if "--help" not in argv and argv != ["check-cocycle", "--genus", "3"]
+    ]
+    for argv, code in calls:  # warm-up: the parser and the catalogs are built once
+        assert main(argv) == code, argv
+    gc.disable()  # so that no collection inside a call hides its garbage
+    try:
+        for argv, code in calls:
+            gc.collect()
+            assert main(argv) == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 # Any one node of a small valid file, replaced by a value of another JSON

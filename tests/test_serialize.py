@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab import (
     Cocycle,
@@ -148,6 +149,40 @@ def test_report_bytes_stable():
     a = json.dumps(ser.report_to_json(rep1), sort_keys=True)
     b = json.dumps(ser.report_to_json(rep2), sort_keys=True)
     assert a == b
+
+
+# JSON trees with the nodes json.dumps treats specially: empty containers,
+# non-ASCII and control characters (lone surrogates included), integers
+# past 2^64, -0.0, 1e16, NaN and the infinities, and bools beside ints
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 3**100, 0, 1, -1])
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
+    | _TEXT
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_json_text_is_json_dumps_with_indent_and_sorted_keys(obj):
+    assert ser.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for obj in ({"half": Fraction(1, 2)}, [ExactSqrt(4)]):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            ser.json_text(obj)
 
 
 def test_sqrt_json():
