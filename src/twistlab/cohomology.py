@@ -31,7 +31,6 @@ from .fourier import (
     twist,
 )
 from .lattice import (
-    HomologyClass,
     basis_curve_class,
     dual_terms,
     zero_class,
@@ -50,12 +49,12 @@ class GeneratorSet:
         curves = tuple(curves)
         if not curves:
             raise ValueError("generator set cannot be empty")
+        if not all(isinstance(c, Curve) for c in curves):
+            raise TypeError("generators must be Curve values")
         genus = curves[0].cls.genus
         table = {}
         by_class = {}
         for c in curves:
-            if not isinstance(c, Curve):
-                raise TypeError("generators must be Curve values")
             if c.cls.genus != genus:
                 raise ValueError("generator classes must share a genus")
             if not c.cls:
@@ -212,7 +211,7 @@ def project_fixed(c, v):
     if c.genus != v.genus:
         raise ValueError("genus mismatch: %d vs %d" % (c.genus, v.genus))
     row = dual_terms(c)
-    table = {m: val for m, val in v.items() if not sum(w * m.coords[k] for k, w in row)}
+    table = {m: val for m, val in v.coeffs.items() if not sum(w * m[k] for k, w in row)}
     return SparseVector._of_table(v.genus, table, v.full)
 
 
@@ -292,8 +291,7 @@ def _telescope(values, rows):
     lines = {}
     for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
         handle = idx & ~1  # index of the handle's a-coordinate
-        for m, val in v.items():
-            coords = m.coords
+        for coords, val in v.coeffs.items():
             step = w * coords[dual]
             # a nonzero coordinate before the handle picks another ray
             if not step or any(coords[:handle]):
@@ -335,11 +333,10 @@ def _telescope(values, rows):
 
 def _expand(g, runs):
     "The vector holding each run's value at each of its points."
-    of_coords = HomologyClass._of_coords  # the runs' coordinates are ints
     table = {}
     for before, after, span, value in runs:
         for a in span:
-            table[of_coords(before + (a,) + after)] = value
+            table[before + (a,) + after] = value
     return SparseVector._of_table(g, table, False)
 
 
@@ -403,8 +400,7 @@ def solve_coboundary(u, relations=None):
     # same coefficient at p and t^-1 p, so p counts once, at the larger norm
     def g_points():
         for idx, (v, (dual, w)) in enumerate(zip(values, rows)):
-            for m, val in v.items():
-                coords = m.coords
+            for coords, val in v.coeffs.items():
                 n, a = sum(map(abs, coords)), coords[idx]
                 yield max(n, n - abs(a) + abs(a - w * coords[dual])), val
 
@@ -452,7 +448,7 @@ def smoothness_report(report, kmax=5):
         witnesses = []
         if k * k * fk.square > g_sq:
             for m in f.support:
-                abs2 = f.coeffs[m].abs2()
+                abs2 = f.coefficient(m).abs2()
                 weight = k * k * sum(map(abs, m.coords)) ** (2 * k)
                 if weight * abs2 > g_sq:
                     witnesses.append((m, abs2, g_sq / weight))

@@ -23,6 +23,11 @@ class SparseVector:
 
     By default lives in the mean-zero subspace: the zero class may not
     carry a coefficient unless the vector is constructed with full=True.
+
+    The constructor takes (HomologyClass, value) pairs, and items(),
+    support and coefficient() speak in classes.  Inside, coeffs keys each
+    coefficient by the coordinate tuple of its class, and the package
+    walks that table directly.
     """
 
     __slots__ = ("genus", "coeffs", "full")
@@ -44,7 +49,7 @@ class SparseVector:
                 raise TypeError("support points must be HomologyClass values")
             if m.genus != self.genus:
                 raise ValueError("genus mismatch in support point %s" % (m,))
-            yield m, GaussianRational.coerce(val)
+            yield m.coords, GaussianRational.coerce(val)
 
     @classmethod
     def _of_table(cls, genus, table, full):
@@ -63,13 +68,13 @@ class SparseVector:
 
     @property
     def support(self):
-        return tuple(sorted(self.coeffs, key=lambda h: h.coords))
+        return tuple(HomologyClass(m) for m in sorted(self.coeffs))
 
     def items(self):
-        return self.coeffs.items()
+        return [(HomologyClass(m), val) for m, val in self.coeffs.items()]
 
     def coefficient(self, m):
-        return self.coeffs.get(m, GaussianRational(0))
+        return self.coeffs.get(m.coords, GaussianRational(0))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -103,7 +108,8 @@ class SparseVector:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return SparseVector._of_table(self.genus, {m: -v for m, v in self.items()}, self.full)
+        table = {m: -v for m, v in self.coeffs.items()}
+        return SparseVector._of_table(self.genus, table, self.full)
 
     def __mul__(self, scalar):
         scalar = GaussianRational.coerce(scalar)
@@ -124,14 +130,15 @@ class SparseVector:
 
 
 def _summed(pairs, full):
-    """The coefficient table of (class, GaussianRational) pairs: values at
-    one class add up, zero values and zero sums drop, and a nonzero value
-    at the zero class is an error unless full."""
+    """The coefficient table of (coordinate tuple, GaussianRational) pairs:
+    values at one point add up, zero values and zero sums drop, and a
+    nonzero value at the zero class is an error unless full."""
     table = {}
     for m, val in pairs:
         if not val:
             continue
-        if not m and not full:
+        # a tuple of 2g >= 6 coordinates is truthy even when they are all 0
+        if not any(m) and not full:
             raise ValueError("zero class in a mean-zero vector; construct with full=True")
         old = table.get(m)
         if old is not None:
@@ -147,7 +154,7 @@ def act(M, v):
     "Relabel the support by the matrix action; a basis permutation."
     if M.dim != 2 * v.genus:
         raise ValueError("dimension mismatch")
-    table = {M.apply(m): val for m, val in v.coeffs.items()}
+    table = {M.apply(HomologyClass(m)).coords: val for m, val in v.coeffs.items()}
     return SparseVector._of_table(v.genus, table, v.full)
 
 
@@ -161,23 +168,21 @@ def twist(c, n, v):
     """
     if len(c.coords) != 2 * v.genus:
         raise ValueError("dimension mismatch")
-    # an int n keeps every moved coordinate an int, so moved points skip the checks
+    # an int n keeps every moved coordinate an int, as the table's points must be
     if not isinstance(n, int):
         raise TypeError("the twist exponent must be an int, got %r" % (n,))
     moves = [(k, a) for k, a in enumerate(c.coords) if a]
     reads = [(k, n * w) for k, w in dual_terms(c)]
-    of_coords = HomologyClass._of_coords
     table = {}
     for m, val in v.coeffs.items():
-        coords = m.coords
         t = 0
         for k, w in reads:
-            t += w * coords[k]
+            t += w * m[k]
         if t:
-            moved = list(coords)
+            moved = list(m)
             for k, a in moves:
                 moved[k] += t * a
-            m = of_coords(tuple(moved))
+            m = tuple(moved)
         table[m] = val
     return SparseVector._of_table(v.genus, table, v.full)
 
@@ -223,7 +228,7 @@ def inner(v, w):
         raise ValueError("genus mismatch")
     small, big, flip = (v, w, False) if len(v) <= len(w) else (w, v, True)
     total = GaussianRational(0)
-    for m, val in small.items():
+    for m, val in small.coeffs.items():
         other = big.coeffs.get(m)
         if other is None:
             continue
@@ -301,13 +306,13 @@ def grid_mean(v, N):
         raise ValueError("grid size must be positive")
     biggest = 0
     for m in v.coeffs:
-        for a in m.coords:
+        for a in m:
             biggest = max(biggest, abs(a))
     if N <= 2 * biggest:
         raise AliasingError("grid size %d too small for coordinates up to %d" % (N, biggest))
     total = GaussianRational(0)
-    for m, val in v.items():
-        if all(a % N == 0 for a in m.coords):
+    for m, val in v.coeffs.items():
+        if all(a % N == 0 for a in m):
             total = total + val
     return complex(total)
 
@@ -361,7 +366,7 @@ def decay_from_norms(points, orders):
 def decay_constants(vectors, orders):
     """Per order k, the smallest F with norm1(m)^k |coeff| <= F over the
     supports of all the vectors (0 if they are all empty)."""
-    points = ((sum(map(abs, m.coords)), val) for v in vectors for m, val in v.items())
+    points = ((sum(map(abs, m)), val) for v in vectors for m, val in v.coeffs.items())
     return decay_from_norms(points, orders)
 
 

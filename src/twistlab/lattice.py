@@ -13,7 +13,7 @@ MIN_GENUS = 3
 class HomologyClass:
     """Element of the rank-2g lattice, coordinates (a1, b1, ..., ag, bg)."""
 
-    __slots__ = ("coords", "_hash")
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -26,14 +26,6 @@ class HomologyClass:
             if type(c) is not int:
                 raise TypeError("coordinates must be integers, got %r" % (c,))
         self.coords = coords
-        self._hash = hash(coords)
-
-    @classmethod
-    def _of_coords(cls, coords):
-        "The class of coords, a tuple of 2g ints with g >= MIN_GENUS already checked."
-        out = object.__new__(cls)
-        out.coords, out._hash = coords, hash(coords)
-        return out
 
     @property
     def genus(self):
@@ -41,12 +33,6 @@ class HomologyClass:
 
     def __len__(self):
         return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
 
     def __bool__(self):
         return any(self.coords)
@@ -57,7 +43,7 @@ class HomologyClass:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        return hash(self.coords)
 
     def __add__(self, other):
         _check_same_genus(self, other)

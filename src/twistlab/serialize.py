@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from .cohomology import Cocycle, GeneratorSet, SolveReport
 from .exact import ExactSqrt, GaussianRational, format_fraction
-from .fourier import SparseVector
+from .fourier import SparseVector, _summed
 from .lattice import MIN_GENUS, HomologyClass, SymplecticMatrix
 from .words import Curve, RelationInstance, TwistWord
 
@@ -226,13 +226,10 @@ def sqrt_from_json(obj, field="'square'"):
     return ExactSqrt(parse_fraction(square, field))
 
 
-def _sorted_items(v):
-    return sorted(v.items(), key=lambda kv: kv[0].coords)
-
-
 def format_sparse_lines(v):
     lines = []
-    for m, val in _sorted_items(v):
+    for m in v.support:
+        val = v.coefficient(m)
         lines.append(
             "%s  %s  %s" % (format_class(m), format_fraction(val.re), format_fraction(val.im))
         )
@@ -270,11 +267,11 @@ def sparse_to_json(v):
         "full": v.full,
         "coefficients": [
             {
-                "class": class_to_json(m),
+                "class": list(m),
                 "re": format_fraction(val.re),
                 "im": format_fraction(val.im),
             }
-            for m, val in _sorted_items(v)
+            for m, val in sorted(v.coeffs.items())
         ],
     }
 
@@ -284,33 +281,31 @@ _ZERO = GaussianRational(0)  # every decoded zero coefficient, so one identity t
 
 def sparse_from_json(obj, field="sparse vector", memo=None):
     """The vector of a JSON object, as SparseVector(...) builds it from the
-    parsed entries.  memo maps coordinate tuples to classes and (re, im)
-    string pairs to coefficients; cocycle_from_json shares one between the
-    values of a cocycle, whose points and coefficients repeat.
+    parsed entries.  memo maps (re, im) string pairs to coefficients;
+    cocycle_from_json shares one between the values of a cocycle, whose
+    coefficients repeat.  A point is keyed by its coordinate tuple, so
+    the decoder builds no HomologyClass for a well-formed entry.
 
     An entry whose coordinates are 2g JSON integers, g >= 3, is checked in
     one comparison of their types; any other goes through class_from_json,
     which names what is wrong.  Only a vector with a repeated point, a zero
-    coefficient or a zero class is summed as SparseVector(...) sums it;
+    coefficient or a zero class is summed, by the constructor's _summed;
     every other one is its table of entries as they stand.
     """
     obj = _json(obj, dict, field)
     genus = _json(obj["genus"], int, "'genus'")
     full = _json(obj.get("full", False), bool, "'full'")
     memo = {} if memo is None else memo
-    # type(), not isinstance(): a bool is an int subclass, and True == 1 in the memo
+    # type(), not isinstance(): a bool is an int subclass
     int_types = (int,) * (2 * genus) if genus >= MIN_GENUS else None
     entries = []
     has_zero = False
     for entry in _json(obj.get("coefficients", []), list, "'coefficients'"):
         point = _json(entry, dict, "coefficient")["class"]
         if type(point) is list and tuple(map(type, point)) == int_types:
-            coords = tuple(point)
-            m = memo.get(coords)
-            if m is None:
-                m = memo[coords] = HomologyClass._of_coords(coords)
+            m = tuple(point)
         else:
-            m = class_from_json(point, genus)
+            m = class_from_json(point, genus).coords
         key = entry["re"], entry.get("im")
         val = memo.get(key) if type(key[0]) is str and type(key[1]) is str else None
         if val is None:
@@ -319,7 +314,7 @@ def sparse_from_json(obj, field="sparse vector", memo=None):
                 imag = parse_fraction(entry["im"])
             except ValueError:
                 # the message names the point; formatting it costs more than parsing
-                at = " of the coefficient at %s" % m
+                at = " of the coefficient at %s" % HomologyClass(m)
                 real = parse_fraction(entry["re"], "'re'" + at)
                 imag = parse_fraction(entry["im"], "'im'" + at)
             val = memo[key] = GaussianRational(real, imag) if real or imag else _ZERO
@@ -327,10 +322,12 @@ def sparse_from_json(obj, field="sparse vector", memo=None):
             has_zero = True
         entries.append((m, val))
     table = dict(entries)
-    if has_zero or len(table) < len(entries) or (
-        entries and not full and HomologyClass._of_coords((0,) * (2 * genus)) in table
+    if (
+        has_zero
+        or len(table) < len(entries)
+        or (not full and (0,) * (2 * genus) in table)
     ):
-        return SparseVector(genus, entries, full=full)
+        table = _summed(entries, full)
     return SparseVector._of_table(genus, table, full)
 
 

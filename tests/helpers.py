@@ -271,8 +271,8 @@ def oracle_smoothness(f, g_squares, kmax=5):
     out = []
     for k in range(2, kmax + 1):
         witnesses = []
-        for m in sorted(f.coeffs, key=lambda h: h.coords):
-            val = f.coeffs[m]
+        for m in sorted(f.support, key=lambda h: h.coords):
+            val = f.coefficient(m)
             abs2 = val.re * val.re + val.im * val.im
             weight = k * k * sum(abs(a) for a in m.coords) ** (2 * k)
             if weight * abs2 > g_squares[k]:

@@ -163,6 +163,51 @@ MUTANTS = (
         "args = build_parser().parse_args(argv)",
         'args = build_parser().parse_args(argv, main.__dict__.setdefault("ns", argparse.Namespace()))',
     ),
+    (
+        "the vector constructor takes a coordinate tuple as a point",
+        "fourier.py",
+        "        for m, val in items:\n",
+        "        for m, val in items:\n"
+        "            if type(m) is tuple:\n"
+        "                yield m, GaussianRational.coerce(val)\n"
+        "                continue\n",
+    ),
+    (
+        "_summed takes every tuple for a nonzero class",
+        "fourier.py",
+        "if not any(m) and not full:",
+        "if not m and not full:",
+    ),
+    (
+        "coefficient() looks up the class, not its coordinates",
+        "fourier.py",
+        "self.coeffs.get(m.coords, GaussianRational(0))",
+        "self.coeffs.get(m, GaussianRational(0))",
+    ),
+    (
+        "support is left unsorted",
+        "fourier.py",
+        "for m in sorted(self.coeffs))",
+        "for m in self.coeffs)",
+    ),
+    (
+        "the decoder keeps a nonzero value at the zero class",
+        "serialize.py",
+        "        or (not full and (0,) * (2 * genus) in table)\n",
+        "",
+    ),
+    (
+        "the decoder keeps the last of a repeated point",
+        "serialize.py",
+        "        or len(table) < len(entries)\n",
+        "",
+    ),
+    (
+        "a generator set checks only its first curve's type",
+        "cohomology.py",
+        "isinstance(c, Curve) for c in curves)",
+        "isinstance(c, Curve) for c in curves[:1])",
+    ),
 )
 
 

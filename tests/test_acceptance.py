@@ -215,7 +215,7 @@ def test_criterion_8_quadrature_and_orthonormality():
     worst = 0.0
     for _ in range(50):
         v = rand_sparse(rng, G, rng.randint(1, 12), coord_bound=3)
-        biggest = max(abs(a) for m in v.coeffs for a in m.coords)
+        biggest = max(abs(a) for m in v.support for a in m.coords)
         worst = max(worst, abs(grid_mean(v, 2 * biggest + 1)))
     basis = [SparseVector.basis(x_basis(G, j)) for j in range(1, G + 1)]
     basis += [SparseVector.basis(y_basis(G, j)) for j in range(1, G + 1)]

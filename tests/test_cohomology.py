@@ -65,10 +65,18 @@ def test_generator_set_validation():
     assert not small.has_symplectic_basis()
 
 
+@pytest.mark.parametrize("curves", [[1], [Curve("a", x_basis(G, 1)), x_basis(G, 2)]])
+def test_generator_set_refuses_a_non_curve_in_any_position(curves):
+    with pytest.raises(TypeError, match="^generators must be Curve values$"):
+        GeneratorSet(curves)
+
+
 def test_cocycle_validation():
     gens = basis_gens()
     values = {c.id: SparseVector.zero(G) for c in gens}
     Cocycle(gens, values)
+    # a plain list of curves is taken as their generator set
+    assert Cocycle(list(gens), values).gens.ids() == gens.ids()
     with pytest.raises(ValueError):
         Cocycle(gens, dict(list(values.items())[:-1]))
     bad = dict(values)

@@ -61,6 +61,18 @@ def test_sparse_vector_construction():
     assert full.coefficient(zero_class(G)) == 1
     with pytest.raises(ValueError):
         SparseVector(G, {x_basis(4, 1): 1})
+    # a coordinate tuple is no class, though the table keys points by theirs
+    with pytest.raises(TypeError, match="support points must be HomologyClass values"):
+        SparseVector(G, {(1, 0, 0, 0, 0, 0): 1})
+
+
+def test_sparse_vector_edge_speaks_in_classes():
+    x1, y1 = x_basis(G, 1), y_basis(G, 1)
+    v = SparseVector(G, {x1: 2, y1: 1})
+    # support sorts by coordinates: y1 = (0, 1, ...) before x1 = (1, 0, ...)
+    assert v.support == (y1, x1)
+    assert sorted(v.items(), key=lambda mv: mv[0].coords) == [(y1, 1), (x1, 2)]
+    assert v.coefficient(x1) == 2 and v.coefficient(HomologyClass((0, 1, 0, 0, 0, 0))) == 1
 
 
 @pytest.mark.parametrize(
@@ -272,7 +284,7 @@ def test_grid_mean_random_mean_zero():
     rng = random.Random(308)
     for _ in range(50):
         v = rand_sparse(rng, G, rng.randint(1, 12), coord_bound=3)
-        biggest = max(abs(a) for m in v.coeffs for a in m.coords)
+        biggest = max(abs(a) for m in v.support for a in m.coords)
         assert grid_mean(v, 2 * biggest + 1) == 0
 
 
@@ -290,7 +302,7 @@ def test_decay_constant_monotone_and_scaling():
     rng = random.Random(309)
     for _ in range(50):
         v = rand_sparse(rng, G, 10)
-        sub = SparseVector(G, dict(list(v.coeffs.items())[:5]))
+        sub = SparseVector(G, v.items()[:5])
         k = rng.randint(0, 4)
         assert decay_constant(sub, k) <= decay_constant(v, k)
         c = GaussianRational(Fraction(3, 7), Fraction(-2, 5))

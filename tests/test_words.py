@@ -61,6 +61,8 @@ def test_word_validation():
     assert len(w) == 2
     assert list(w.singles()) == [("x1", 1), ("x1", 1), ("y1", -1)]
     assert (w * w.inverse()).letters == (("x1", 2), ("y1", -1), ("y1", 1), ("x1", -2))
+    assert w ** -3 == w.inverse() ** 3
+    assert (w ** -1).letters == (("y1", 1), ("x1", -2))
 
 
 def test_word_matrix_empty_and_single():
@@ -259,6 +261,12 @@ def test_chain_boundary_classes_by_bounded_search():
     assert twist_matrix(d) * twist_matrix(e) == M
     table = chain.table
     assert {d, e} == {table["d"].cls, table["e"].cls}
+
+
+def test_find_twist_pair_finds_none_for_one_twist_or_the_identity():
+    # d = x1 leaves the identity for e, the zero class, which is skipped
+    assert find_twist_pair(twist_matrix(x_basis(G, 1)), 1) is None
+    assert find_twist_pair(SymplecticMatrix.identity(2 * G), 1) is None
 
 
 def test_transvection_class_roundtrip():
