@@ -4,14 +4,26 @@ Subcommands: verify-relations, solve, orbit, check-cocycle, decay-report;
 each takes only the options it reads.  Exit status 0 means every check
 passed, 1 means a verification failed, 2 means malformed input or a
 violated precondition; a JSON object in an --in file that gives one key
-twice is malformed.  main() may be called any number of times in one
-process: the parser is built on the first call and reused, and each call
-parses into a fresh namespace.
+twice is malformed, and so is one that lacks a key its decoder needs.
+main() may be called any number of times in one process: the parser is
+built on the first call and reused, and each call parses into a fresh
+namespace.
+
+A call runs with the cyclic garbage collector paused, argument parsing
+included, and then restores the caller's state: if the collector was
+enabled, it is enabled again, however the call ends.  Reference counting
+still frees every object a call drops, and a call leaves no cyclic
+garbage (only argparse's usage error and --help leave a few objects in
+cycles, which the next collection frees), so the pause changes no memory
+use; it keeps full collections out of the call's time.  Two threads in
+main() at once each restore the state they found, so the collector is
+enabled again after both return, but it may run during part of one call.
 """
 
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import sys
@@ -67,11 +79,12 @@ def _json_object(pairs):
     return obj
 
 
-def _decode_json(args, text):
-    """The JSON document text of --in; too deep a nesting, too long an
-    integer or a key given twice in one object is a ValueError."""
+def _decode_json(args, text, decoder):
+    """decoder applied to the JSON document text of --in; too deep a
+    nesting, too long an integer, a key given twice in one object or a key
+    the decoder needs and does not find is a ValueError."""
     try:
-        return json.loads(text, object_pairs_hook=_json_object)
+        obj = json.loads(text, object_pairs_hook=_json_object)
     except _RepeatedKey as exc:
         key = serialize._cut(repr(exc.args[0]))
         raise ValueError("%s: a JSON object gives key %s twice" % (args.infile, key)) from None
@@ -81,15 +94,20 @@ def _decode_json(args, text):
         raise
     except ValueError:  # int() of an integer's digits
         raise serialize._too_long("%s: a JSON integer" % args.infile) from None
+    try:
+        return decoder(obj)
+    except KeyError as exc:
+        key = serialize._cut(repr(exc.args[0]))
+        raise ValueError("%s: missing key %s" % (args.infile, key)) from None
 
 
 def _load_cocycle(args):
-    return serialize.cocycle_from_json(_decode_json(args, _read_infile(args)))
+    return _decode_json(args, _read_infile(args), serialize.cocycle_from_json)
 
 
 def cmd_verify_relations(args):
     if args.infile:
-        relations = serialize.relations_from_json(_decode_json(args, _read_infile(args)))
+        relations = _decode_json(args, _read_infile(args), serialize.relations_from_json)
         for rel in relations:
             if any(c.cls.genus != args.genus for c in rel.curves):
                 raise ValueError("relation %r is not of genus %d" % (rel.name, args.genus))
@@ -214,7 +232,7 @@ def cmd_decay_report(args):
         raise ValueError("kmax must be nonnegative")
     text = _read_infile(args)
     if text.lstrip().startswith("{"):
-        v = serialize.vector_from_json(_decode_json(args, text))
+        v = _decode_json(args, text, serialize.vector_from_json)
     else:
         v = serialize.parse_sparse_lines(text)
     orders = range(0, args.kmax + 1)
@@ -279,6 +297,16 @@ def build_parser():
 
 
 def main(argv=None):
+    enabled = gc.isenabled()
+    gc.disable()  # a call makes no cyclic garbage; see the module docstring
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv):
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "genus", None) is not None and args.genus < 3:
@@ -287,7 +315,7 @@ def main(argv=None):
     except (MetadataError, NonCocycleError) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return BAD_INPUT
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return BAD_INPUT
 

@@ -208,6 +208,61 @@ MUTANTS = (
         "isinstance(c, Curve) for c in curves)",
         "isinstance(c, Curve) for c in curves[:1])",
     ),
+    (
+        "main does not pause the collector",
+        "cli.py",
+        "    gc.disable()  # a call makes no cyclic garbage; see the module docstring\n",
+        "",
+    ),
+    (
+        "main restores the collector only when the call returns",
+        "cli.py",
+        "    try:\n        return _main(argv)\n    finally:\n        if enabled:\n            gc.enable()\n",
+        "    code = _main(argv)\n    if enabled:\n        gc.enable()\n    return code\n",
+    ),
+    (
+        "main enables the collector a caller had disabled",
+        "cli.py",
+        "        if enabled:\n            gc.enable()\n",
+        "        gc.enable()\n",
+    ),
+    (
+        "a missing JSON key is reported as the bare key",
+        "cli.py",
+        '        key = serialize._cut(repr(exc.args[0]))\n'
+        '        raise ValueError("%s: missing key %s" % (args.infile, key)) from None\n',
+        "        raise ValueError(exc) from None\n",
+    ),
+    (
+        "signed_norm_sq drops a point whose real part is zero",
+        "fourier.py",
+        "        if p or r:\n",
+        "        if p:\n",
+    ),
+    (
+        "dual_terms with its sign flipped",
+        "lattice.py",
+        "(k ^ 1, a if k % 2 == 0 else -a)",
+        "(k ^ 1, -a if k % 2 == 0 else a)",
+    ),
+    (
+        "g_points counts a point at its own norm, not the larger of n and its twist's",
+        "cohomology.py",
+        "yield max(n, n - abs(a) + abs(a - w * coords[dual])), val",
+        "yield n, val",
+    ),
+    (
+        "the residual certificate keeps only its last term",
+        "cohomology.py",
+        "residual_sq = max(residual_sq, term)",
+        "residual_sq = term",
+    ),
+    (
+        "check-cocycle ignores nonzero s-vectors",
+        "cli.py",
+        "        clean = clean and not s\n",
+        "        clean = clean\n",
+    ),
 )
 
 

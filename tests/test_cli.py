@@ -718,6 +718,61 @@ def test_a_key_given_twice_in_a_coefficient_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "error: %s: a JSON object gives key 're' twice\n" % infile
 
 
+def _valid_files():
+    "decoder -> (the commands that read it, the JSON object of a small valid --in file)."
+    _, u, _ = _fixture_cocycle(seed=624, size=2)
+    return {
+        "cocycle": (("solve", "check-cocycle"), ser.cocycle_to_json(u)),
+        "relations": (
+            ("verify-relations",),
+            [ser.relation_to_json(r) for r in builtin_catalog(G)[:2]],
+        ),
+        "vector": (("decay-report",), ser.sparse_to_json(rand_sparse(random.Random(625), G, 2))),
+    }
+
+
+_REQUIRED_KEYS = [
+    ("cocycle", (), "genus"),
+    ("cocycle", (), "generators"),
+    ("cocycle", (), "values"),
+    ("cocycle", ("generators", 0), "id"),
+    ("cocycle", ("generators", 0), "cls"),
+    ("cocycle", ("values", "x1"), "genus"),
+    ("cocycle", ("values", "x1", "coefficients", 0), "class"),
+    ("cocycle", ("values", "x1", "coefficients", 0), "re"),
+    ("cocycle", ("values", "x1", "coefficients", 0), "im"),
+    ("relations", (0,), "name"),
+    ("relations", (0,), "curves"),
+    ("relations", (0,), "lhs"),
+    ("relations", (0,), "rhs"),
+    ("relations", (0, "curves", 0), "id"),
+    ("relations", (0, "curves", 0), "cls"),
+    ("vector", (), "genus"),
+    ("vector", ("coefficients", 0), "class"),
+    ("vector", ("coefficients", 0), "re"),
+    ("vector", ("coefficients", 0), "im"),
+]
+
+
+@pytest.mark.parametrize(
+    "decoder, path, key",
+    _REQUIRED_KEYS,
+    ids=["%s:%s" % (d, ".".join(map(str, path + (key,)))) for d, path, key in _REQUIRED_KEYS],
+)
+def test_a_missing_key_is_named_with_its_file(tmp_path, capsys, decoder, path, key):
+    commands, obj = _valid_files()[decoder]
+    node = obj
+    for step in path:
+        node = node[step]
+    del node[key]
+    infile = _write(tmp_path / "missing.json", obj)
+    for command in commands:
+        assert run([command, "--in", infile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s: missing key '%s'\n" % (infile, key)
+
+
 def _call(argv):
     "(exit code, stdout, stderr) of one main(argv), a usage error or --help included."
     out, err = io.StringIO(), io.StringIO()
@@ -788,13 +843,8 @@ def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
     assert by_argv[("--help",)][1].startswith("usage: twistlab [-h]")
 
 
-def test_a_call_leaves_no_garbage(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    calls = [
-        (argv + ["--out", out], code)
-        for argv, code in _calls_of_every_kind(tmp_path)
-        if "--help" not in argv and argv != ["check-cocycle", "--genus", "3"]
-    ]
+def _assert_no_garbage(calls):
+    "Each main(argv) of calls returns its code and leaves nothing for gc.collect()."
     for argv, code in calls:  # warm-up: the parser and the catalogs are built once
         assert main(argv) == code, argv
     gc.disable()  # so that no collection inside a call hides its garbage
@@ -805,6 +855,145 @@ def test_a_call_leaves_no_garbage(tmp_path, capsys):
             assert gc.collect() == 0, argv
     finally:
         gc.enable()
+
+
+def test_a_call_leaves_no_garbage(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    _assert_no_garbage(
+        [
+            (argv + ["--out", out], code)
+            for argv, code in _calls_of_every_kind(tmp_path)
+            if "--help" not in argv and argv != ["check-cocycle", "--genus", "3"]
+        ]
+    )
+
+
+def test_a_refused_call_leaves_no_garbage(tmp_path, capsys):
+    # main pauses the collector on the strength of this, so each path that
+    # refuses a file is pinned too.  An argparse usage error and --help are
+    # left out: they leave cycles of argparse's own (6 objects of its error,
+    # 25 of its help formatter), made before any twistlab code runs, which
+    # the first collection after the call frees.
+    def text(name, body):
+        path = tmp_path / name
+        path.write_text(body)
+        return str(path)
+
+    entry = '{"class": %s, "re": %s, "im": "0"}'
+    vector = '{"genus": 3, "coefficients": [%s]}'
+    calls = [
+        ("twice.json", '{"genus": 3, "genus": 3, "coefficients": []}'),
+        ("malformed.json", '{"genus": 3, "coefficients": ['),
+        ("deep.json", '{"a":' * 200000),
+        ("float.json", vector % (entry % ("[1.0, 0, 0, 0, 0, 0]", '"1"'))),
+        ("rational.json", vector % (entry % ("[1, 0, 0, 0, 0, 0]", '"1/x"'))),
+        ("long.json", vector % (entry % ("[1%s, 0, 0, 0, 0, 0]" % ("0" * 4999), '"1"'))),
+        ("missing-key.json", vector % '{"re": "1", "im": "0"}'),
+        ("line.txt", "1 0 0 0 0 0  1\n"),
+    ]
+    argvs = [["decay-report", "--in", text(name, body)] for name, body in calls]
+    argvs.append(["solve", "--in", str(tmp_path / "absent.json")])
+    _assert_no_garbage([(argv, 2) for argv in argvs])
+
+
+@pytest.fixture
+def swap_solve(monkeypatch):
+    "swap_solve(run) makes the solve subcommand call run(args) instead."
+
+    def swap(run):
+        monkeypatch.setattr(cli, "cmd_solve", run)
+        cli.build_parser.cache_clear()
+
+    yield swap
+    cli.build_parser.cache_clear()  # the next call builds it on cmd_solve again
+
+
+def _recorder(seen, code):
+    "A command that records whether the collector runs, then returns or raises code."
+
+    def run(args):
+        seen.append(gc.isenabled())
+        if isinstance(code, BaseException):
+            raise code
+        return code
+
+    return run
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, ValueError("bad"), RuntimeError("escapes")])
+def test_a_call_pauses_the_collector_and_enables_it_again(swap_solve, capsys, code):
+    seen = []
+    swap_solve(_recorder(seen, code))
+    assert gc.isenabled()
+    if isinstance(code, RuntimeError):
+        with pytest.raises(RuntimeError, match="escapes"):
+            main(["solve"])
+    else:
+        assert main(["solve"]) == (2 if isinstance(code, ValueError) else code)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["solve", "--nope"], []])
+def test_argument_parsing_runs_paused_and_its_exit_enables_the_collector(monkeypatch, argv):
+    seen = []
+    parser = cli.build_parser()
+
+    class Recording:
+        def parse_args(self, argv):
+            seen.append(gc.isenabled())
+            return parser.parse_args(argv)
+
+    monkeypatch.setattr(cli, "build_parser", Recording)
+    assert gc.isenabled()
+    code, _, _ = _call(argv)
+    assert code == (0 if "--help" in argv else 2)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_a_caller_that_paused_the_collector_finds_it_paused(swap_solve, capsys):
+    seen = []
+    gc.disable()
+    try:
+        assert main(["orbit", "2 3 0 0 0 0", "--steps", "2"]) == 0
+        assert not gc.isenabled()
+        assert _call(["--help"])[0] == 0 and _call(["solve", "--nope"])[0] == 2
+        assert not gc.isenabled()
+        swap_solve(_recorder(seen, RuntimeError("escapes")))
+        with pytest.raises(RuntimeError):
+            main(["solve"])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def test_no_automatic_collection_runs_inside_a_call(tmp_path, capsys):
+    _, u, _ = _fixture_cocycle(seed=626, size=60)
+    text = ser.json_text(ser.cocycle_to_json(u))
+    infile = tmp_path / "cocycle.json"
+    infile.write_text(text)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(50)  # a collection per 50 net new containers
+    gc.callbacks.append(hook)
+    try:
+        # the same decoding outside main does set off collections
+        ser.cocycle_from_json(json.loads(text))
+        outside = len(starts)
+        starts.clear()
+        assert main(["solve", "--in", str(infile)]) == 0
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+    assert outside > 0
+    assert starts == []
 
 
 # Any one node of a small valid file, replaced by a value of another JSON

@@ -287,8 +287,11 @@ def _vector(*entries, **extra):
 
 
 def test_remembered_points_and_coefficients_are_type_checked_again():
-    # True == 1 and hash(True) == hash(1): a memo read before the check
-    # would hand the second entry the class of the first
+    # True == 1 and hash(True) == hash(1), so the bool point's coordinate
+    # tuple equals the int point's: a table keyed before the type check
+    # would sum the two entries at one point.  A coefficient given as a
+    # JSON number is refused, its point named, after the (re, im) memo
+    # holds the first entry's strings
     msg = "coordinate of 'class' must be a JSON integer, got true"
     with pytest.raises(ValueError, match=msg):
         ser.sparse_from_json(_vector((P, "1", "0"), ([True, 0, 0, 0, 0, 1], "1", "0")))
@@ -352,8 +355,10 @@ def test_a_zero_coefficient_shared_by_two_values_drops_from_both():
 
 
 def test_a_float_coordinate_is_refused_after_its_int_point_is_remembered():
-    # 1.0 == 1 and hash(1.0) == hash(1): a memo read before the type check
-    # would hand the float the class of the int point
+    # 1.0 == 1 and hash(1.0) == hash(1), so the float point's coordinate
+    # tuple equals the int point's: a table keyed before the type check
+    # would sum the two entries at one point.  In the cocycle the two
+    # points are in different values, which share only the coefficient memo
     msg = "coordinate of 'class' must be a JSON integer, got 1.0"
     with pytest.raises(ValueError, match=msg):
         ser.sparse_from_json(_vector((P, "1", "0"), ([1.0, 0, 0, 0, 0, 1], "1", "0")))
